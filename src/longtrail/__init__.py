@@ -10,88 +10,55 @@ from .bruteforce import (
     constrained_longest_bruteforce,
     longest_trail_bruteforce,
 )
-from .dp import (
-    CapacityError,
-    DpTable,
-    LayerSpec,
-    TableLookupError,
-    combine,
-    full_dp_longest_trail,
-    get_len,
-    precompute_layer,
-    reconstruct_path,
-)
+from .dp import full_dp_longest_trail
 from .graphs import (
     Graph,
     GraphFormatError,
     SizeLimitError,
     TrailVerdict,
-    edge_set,
-    incident_edges,
     parse_graph,
     random_graph,
     serialize_graph,
     validate_trail,
 )
 from .hybrid import (
-    CostReport,
     HybridConfig,
-    SolveContext,
     SolveResult,
     predict_deterministic_queries,
-    reconstruct_from_witness,
     solve_hybrid,
-    solve_recursive,
     theoretical_costs,
 )
 from .qmax import (
-    QmaxOutcome,
     QueryLedger,
     ValueOracle,
     boosted_qmax,
-    grover_stage_cost,
     qmax_durr_hoyer,
     qmax_exhaustive,
 )
 
 __all__ = [
-    "CapacityError",
-    "CostReport",
-    "DpTable",
     "Graph",
     "GraphFormatError",
     "HybridConfig",
-    "LayerSpec",
     "OracleResult",
-    "QmaxOutcome",
     "QueryLedger",
     "SizeLimitError",
-    "SolveContext",
     "SolveResult",
-    "TableLookupError",
     "TrailVerdict",
     "ValueOracle",
     "boosted_qmax",
-    "combine",
     "constrained_longest_bruteforce",
-    "edge_set",
     "full_dp_longest_trail",
-    "get_len",
-    "grover_stage_cost",
-    "incident_edges",
     "longest_trail_bruteforce",
     "parse_graph",
-    "precompute_layer",
     "predict_deterministic_queries",
     "qmax_durr_hoyer",
     "qmax_exhaustive",
     "random_graph",
-    "reconstruct_from_witness",
-    "reconstruct_path",
     "serialize_graph",
     "solve_hybrid",
-    "solve_recursive",
     "theoretical_costs",
+    "validate_trail",
 ]
 
 __version__ = "0.1.0"

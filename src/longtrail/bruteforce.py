@@ -84,9 +84,10 @@ def longest_trail_bruteforce(g: Graph) -> OracleResult:
         for head in heads:
             extend(head, 1 << e)
         path.pop()
-    result = OracleResult(best_len, tuple(best))
-    assert validate_trail(g, result.trail), "oracle produced an invalid trail"
-    return result
+    verdict = validate_trail(g, best)
+    if not verdict.ok:
+        raise AssertionError(f"oracle produced an invalid trail: {verdict.reason}")
+    return OracleResult(best_len, tuple(best))
 
 
 def constrained_longest_bruteforce(g: Graph, S: int, v: int, u: int) -> int | None:

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .bruteforce import longest_trail_bruteforce
-from .dp import full_dp_longest_trail, write_table_dump
+from .dp import full_dp_longest_trail
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -29,7 +29,6 @@ from .hybrid import (
     MODE_DETERMINISTIC,
     MODE_STOCHASTIC,
     HybridConfig,
-    SolveContext,
     solve_hybrid,
     theoretical_costs,
 )
@@ -102,10 +101,6 @@ def _solve_one(g: Graph, engine: str, mode: str, args) -> dict:
     )
     out = solve_hybrid(g, cfg)
     wall = (time.perf_counter() - t0) * 1000.0
-    if getattr(args, "dump_table", None):
-        ctx = SolveContext.create(g, cfg)
-        count = write_table_dump(ctx.table, args.dump_table)
-        _info(f"wrote {count} table records to {args.dump_table}")
     return _run_report(
         f"hybrid-{mode}",
         g,
@@ -275,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=None,
                    help="boosting repeats per level (default 2m)")
     p.add_argument("--budget-constant", type=float, default=23.0)
-    p.add_argument("--dump-table", default=None,
-                   help="debug: dump the precomputed layer to this path")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="cross-check oracle, dp, hybrid-det")

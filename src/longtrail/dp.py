@@ -24,7 +24,6 @@ pairs of the two edges; the arc level stays available for the hybrid solver.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -78,10 +77,24 @@ class LayerSpec:
 class DpTable:
     """Memo table for L(S, a, b) with predecessor witnesses.
 
-    Entries map a packed (S, a, b) key to (length | None, predecessor arc).
-    After `precompute_layer` the table is authoritative for every state with
-    |S| <= k_pre: a miss there means the state was never swept and is an
-    internal error, so `get_arc` raises instead of guessing.
+    `entries` is the DP's per-arc memo: a packed (S, a, b) key maps to
+    (length | None, predecessor arc).  After `precompute_layer` it is
+    authoritative for every state with |S| <= k_pre: a miss there means the
+    state was never swept and is an internal error, so `get_arc` raises
+    instead of guessing.
+
+    `cells` is the hybrid solver's state memo, keyed by (S * m + v) * m + u
+    for edges v != u.  Each value is a 4-slot tuple of L(S, arc(v, i),
+    arc(u, j)) at slot i*2 + j, with -1 for "no walk" (and for the
+    orientations a loop does not have), so the solver's hot path never
+    touches None.  `precompute_layer` fills it for the layer; the hybrid
+    adds the states above the layer under both endpoint orders.
+
+    `splits` holds, for each state above the layer keyed with v < u, a
+    4-slot tuple of split records (S', pivot arc), or None where the cell
+    has no walk: the left half of the cell's walk is the state (S', first
+    arc, pivot arc) and the right half ((S \\ S') | {pivot edge}, pivot arc,
+    last arc).
     """
 
     def __init__(self, g: Graph, k_pre: int = 0):
@@ -89,7 +102,8 @@ class DpTable:
         self.k_pre = k_pre
         self._A = max(2 * g.edge_count, 1)
         self.entries: dict[int, tuple[int | None, int | None]] = {}
-        self.matrices: dict[int, tuple[int, int, int, int]] = {}
+        self.cells: dict[int, tuple[int, int, int, int]] = {}
+        self.splits: dict[int, tuple] = {}
 
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b
@@ -113,16 +127,8 @@ class DpTable:
             raise TableLookupError(f"state (S={S:#x}, a={a}, b={b}) not in table")
         return hit[0]
 
-    def matrix(self, S: int, v: int, u: int):
-        """4-slot tuple of L(S, arc(v, i), arc(u, j)) values, slot = i*2 + j.
-
-        Only defined for v != u.  Cells are plain ints with -1 encoding "no
-        walk" (covering orientations a loop does not have), so the solver's
-        hot path never touches None.  Built by `finalize_matrices`.
-        """
-        return self.matrices[(S * self.g.edge_count + v) * self.g.edge_count + u]
-
-    def finalize_matrices(self) -> None:
+    def finalize_cells(self) -> None:
+        """Fill `cells` from the per-arc entries."""
         m = self.g.edge_count
         grid: dict[int, list[int]] = {}
         for key, (length, _pred) in self.entries.items():
@@ -135,7 +141,7 @@ class DpTable:
                 grid[gkey] = cells
             if length is not None:
                 cells[(a & 1) * 2 + (b & 1)] = length
-        self.matrices = {k: tuple(c) for k, c in grid.items()}
+        self.cells = {k: tuple(c) for k, c in grid.items()}
 
 
 def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
@@ -150,11 +156,10 @@ def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
     hit = entries.get(key, _MISSING)
     if hit is not _MISSING:
         return hit[0]
-    p = g.arc_tail(b)
     S2 = S & ~(1 << eb)
     best: int | None = None
     pred: int | None = None
-    for c in g.arcs_into[p]:
+    for c in g.arcs_before[b]:
         if not S2 >> (c >> 1) & 1:
             continue
         sub = get_len_arc(g, S2, a, c, table)
@@ -218,7 +223,7 @@ def precompute_layer(
             for a in arcs:
                 for b in arcs:
                     get_len_arc(g, S, a, b, table)
-    table.finalize_matrices()
+    table.finalize_cells()
     return table
 
 
@@ -246,9 +251,10 @@ def full_dp_longest_trail(g: Graph) -> OracleResult:
         # No two-edge walk anywhere; any single edge is a longest trail.
         return OracleResult(1, (0,))
     trail = reconstruct_arc(table, E, best_arcs[0], best_arcs[1])
-    result = OracleResult(best, tuple(trail))
-    assert validate_trail(g, result.trail), "DP produced an invalid trail"
-    return result
+    verdict = validate_trail(g, trail)
+    if not verdict.ok or len(trail) != best:
+        raise AssertionError(f"DP produced an invalid trail: {verdict.reason}")
+    return OracleResult(best, tuple(trail))
 
 
 def reconstruct_arc(table: DpTable, S: int, a: int, b: int) -> list[int]:
@@ -294,47 +300,3 @@ def reconstruct_path(table: DpTable, S: int, v: int, u: int) -> list[int]:
     if arcs is None:
         raise TableLookupError(f"no stored walk for (S={S:#x}, v={v}, u={u})")
     return reconstruct_arc(table, S, arcs[0], arcs[1])
-
-
-# ---------------------------------------------------------------------------
-# Binary table dump (debug aid)
-
-def write_table_dump(table: DpTable, path: str) -> int:
-    """Dump the edge-level view of the table: one fixed-width record per
-    (S, v, u) group, best length over arc orientations (-1 when no walk) and
-    the winning predecessor edge (0xFFFF when none).  Returns record count.
-    """
-    m = table.g.edge_count
-    nwords = (max(m, 1) + 63) // 64
-    grouped: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for key, (length, pred) in table.entries.items():
-        S, a, b = table.unpack(key)
-        gkey = (S, a >> 1, b >> 1)
-        cur = grouped.get(gkey)
-        cand = (-1 if length is None else length, 0xFFFF if pred is None else pred >> 1)
-        if cur is None or cand[0] > cur[0]:
-            grouped[gkey] = cand
-    fmt = "<" + "Q" * nwords + "HHhH"
-    with open(path, "wb") as fh:
-        for (S, v, u) in sorted(grouped):
-            length, pred = grouped[(S, v, u)]
-            words = [(S >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)]
-            fh.write(struct.pack(fmt, *words, v, u, length, pred))
-    return len(grouped)
-
-
-def read_table_dump(path: str, m: int) -> list[tuple[int, int, int, int, int]]:
-    """Read a dump written by `write_table_dump`; yields
-    (S, v, u, length, pred_edge) tuples with -1/0xFFFF sentinels intact."""
-    nwords = (max(m, 1) + 63) // 64
-    fmt = "<" + "Q" * nwords + "HHhH"
-    size = struct.calcsize(fmt)
-    out = []
-    with open(path, "rb") as fh:
-        while chunk := fh.read(size):
-            fields = struct.unpack(fmt, chunk)
-            S = 0
-            for w in range(nwords):
-                S |= fields[w] << (64 * w)
-            out.append((S, *fields[nwords:]))
-    return out

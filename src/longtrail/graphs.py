@@ -42,13 +42,19 @@ def check_edge_budget(m: int, limit: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected multigraph over vertices 0..n-1 with an indexed edge list."""
+    """Undirected multigraph over vertices 0..n-1 with an indexed edge list.
+
+    The derived structures cover only the vertices that occur in edges, so
+    their size is O(m) whatever the vertex count claims.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     # Derived, filled in __post_init__:
-    vertex_edge_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    arcs_into: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    vertex_edge_masks: dict[int, int] = field(init=False, repr=False, compare=False)
+    # Per arc b: the arcs whose head is b's tail, i.e. the arcs a walk may
+    # traverse just before b, in edge order.
+    arcs_before: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     arc_count: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -56,19 +62,24 @@ class Graph:
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        masks = [0] * n
-        arcs_into: list[list[int]] = [[] for _ in range(n)]
+        masks: dict[int, int] = {}
+        into: dict[int, list[int]] = {}
         for i, (u, v) in enumerate(self.edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
-            masks[u] |= 1 << i
-            masks[v] |= 1 << i
+            masks[u] = masks.get(u, 0) | 1 << i
+            masks[v] = masks.get(v, 0) | 1 << i
             # arc 2i has head u, arc 2i+1 has head v; loops keep one arc
-            arcs_into[u].append(2 * i)
+            into.setdefault(u, []).append(2 * i)
             if u != v:
-                arcs_into[v].append(2 * i + 1)
-        object.__setattr__(self, "vertex_edge_masks", tuple(masks))
-        object.__setattr__(self, "arcs_into", tuple(tuple(a) for a in arcs_into))
+                into.setdefault(v, []).append(2 * i + 1)
+        heads = {w: tuple(arcs) for w, arcs in into.items()}
+        # arc 2i has tail v and arc 2i+1 tail u; a loop leaves slot 2i+1 empty
+        before = []
+        for u, v in self.edges:
+            before += (heads[v], heads[u] if u != v else ())
+        object.__setattr__(self, "vertex_edge_masks", masks)
+        object.__setattr__(self, "arcs_before", tuple(before))
         object.__setattr__(
             self,
             "arc_count",
@@ -82,15 +93,6 @@ class Graph:
     @property
     def full_edge_set(self) -> int:
         return (1 << len(self.edges)) - 1
-
-    def arc_head(self, arc: int) -> int:
-        u, v = self.edges[arc >> 1]
-        return u if arc & 1 == 0 else v
-
-    def arc_tail(self, arc: int) -> int:
-        """Vertex the walk occupies before traversing the arc."""
-        u, v = self.edges[arc >> 1]
-        return v if arc & 1 == 0 else u
 
     def arcs_of(self, e: int) -> tuple[int, ...]:
         u, v = self.edges[e]

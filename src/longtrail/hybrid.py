@@ -15,16 +15,22 @@ scans in deterministic mode (results provably equal to the full DP), boosted
 bounded-error threshold searches in stochastic mode.  Charges land in a
 QueryLedger keyed by recursion depth.
 
-States are solved once per run and memoized ("frozen field").  In stochastic
-mode this means repeated references to a sub-state share one realization
-instead of re-running its search; re-running every nested search per
-reference, times 2m boosting per level, would multiply work by millions and
-is not simulable.  Errors stay one-sided and witnesses stay genuine, and a
+States are solved once per run and memoized.  In stochastic mode this
+means repeated references to a sub-state share one realization instead of
+re-running its search; re-running every nested search per reference, times
+2m boosting per level, would multiply work by millions and is not
+simulable.  Errors stay one-sided and witnesses stay genuine, and a
 state's charges are attributed to the depth at which it is first reached.
 
-Values for a state are kept as a 4-slot cell tuple indexed by the arc
-orientations of the two endpoint edges (slot = first*2 + last), so one dict
-hit serves all orientation combinations.
+One memo holds every state's values: `DpTable.cells`, keyed by (S, v, u),
+maps a state to a 4-slot cell tuple indexed by the arc orientations of the
+two endpoint edges (slot = first*2 + last), so one dict hit serves all
+orientation combinations.  `precompute_layer` fills it for |S| <= k_pre and
+the split recursion adds each state above the layer, under both endpoint
+orders.  For every solved cell above the layer, `DpTable.splits` keeps one
+record (S', pivot arc) of the winning candidate.  A witness is a state
+triple (S, first arc, last arc); its walk is rebuilt by chaining the split
+records down to the layer, where the DP's predecessor arcs take over.
 """
 
 from __future__ import annotations
@@ -35,14 +41,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .dp import (
-    DpTable,
-    LayerSpec,
-    precompute_layer,
-    reconstruct_arc,
-)
+from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, validate_trail
-from .qmax import QueryLedger, _boosted_on_ints
+from .qmax import QueryLedger, _boosted
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -70,34 +71,8 @@ class HybridConfig:
             raise ValueError("budget_constant must be positive")
 
 
-# Witness tree: how a solved length decomposes back into a walk.
-@dataclass(frozen=True)
-class EdgeWitness:
-    edge: int
-
-
-@dataclass(frozen=True)
-class LeafWitness:
-    subset: int
-    first_arc: int
-    last_arc: int
-
-
-@dataclass(frozen=True)
-class RevWitness:
-    inner: "Witness"
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    subset: int      # S' of the winning candidate (covers the left half)
-    pivot_arc: int   # shared arc; its edge is counted once
-    rest: int        # (S \ S') | {pivot edge} (covers the right half)
-    left: "Witness"
-    right: "Witness"
-
-
-Witness = EdgeWitness | LeafWitness | RevWitness | SplitNode
+# (S, first arc, last arc): the state whose stored walk realizes a value.
+Witness = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -106,11 +81,10 @@ class SolveResult:
     trail: tuple[int, ...]
     ledger: QueryLedger
     classical_entries: int
-    success_nominal: bool
 
 
 class SolveContext:
-    """Per-run solver state: frozen table, memo field, stream, ledger."""
+    """Per-run solver state: the table with its state memo, stream, ledger."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
@@ -125,8 +99,6 @@ class SolveContext:
         )
         self.rng = random.Random(cfg.seed)
         self.ledger = QueryLedger()
-        self.vals: dict[int, tuple] = {}
-        self.wits: dict[int, tuple] = {}
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -185,23 +157,15 @@ def _transpose_cells(cells: tuple, n_first: int, n_second: int) -> tuple:
     return tuple(out)
 
 
-def _ensure_solved(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
+def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
+    """Solve the state (S, v, u) above the layer: memoize its cells under
+    both endpoint orders and a split record for each cell with a walk."""
     lo, hi = (v, u) if v < u else (u, v)
-    m = ctx.graph.edge_count
-    if (S * m + lo) * m + hi not in ctx.vals:
-        _solve_matrix(ctx, S, lo, hi, depth)
-
-
-def _solve_matrix(ctx: SolveContext, S: int, lo: int, hi: int, depth: int) -> None:
     g = ctx.graph
     m = g.edge_count
-    table_cells = ctx.table.matrices
-    field_vals = ctx.vals
-    k_pre = ctx.k_pre
+    memo = ctx.table.cells
     size = S.bit_count()
-    h = _split_size(size, k_pre)
-    left_small = h <= k_pre
-    right_small = size - h + 1 <= k_pre
+    h = _split_size(size, ctx.k_pre)
     cands = _candidates(S, lo, hi, h)
     arc_count = g.arc_count
     n_lo = arc_count[lo]
@@ -216,28 +180,22 @@ def _solve_matrix(ctx: SolveContext, S: int, lo: int, hi: int, depth: int) -> No
         if y == lo:
             # Left half degenerates to the single edge lo; the candidate's
             # value is the right half's, pivot orientation locked to ai.
-            if right_small:
-                rf = table_cells[(T * m + lo) * m + hi]
-            else:
-                rkey = (T * m + lo) * m + hi
-                rf = field_vals.get(rkey)
-                if rf is None:
-                    _ensure_solved(ctx, T, lo, hi, child_depth)
-                    rf = field_vals[rkey]
+            rkey = (T * m + lo) * m + hi
+            rf = memo.get(rkey)
+            if rf is None:
+                _solve_state(ctx, T, lo, hi, child_depth)
+                rf = memo[rkey]
             if unrolled:
                 ap0(rf[0]); ap1(rf[1]); ap2(rf[2]); ap3(rf[3])
             else:
                 for ci, ai, bi in cells:
                     arrays[ci].append(rf[ai * 2 + bi])
             continue
-        if left_small:
-            lf = table_cells[(S1 * m + lo) * m + y]
-        else:
-            lkey = (S1 * m + lo) * m + y
-            lf = field_vals.get(lkey)
-            if lf is None:
-                _ensure_solved(ctx, S1, lo, y, child_depth)
-                lf = field_vals[lkey]
+        lkey = (S1 * m + lo) * m + y
+        lf = memo.get(lkey)
+        if lf is None:
+            _solve_state(ctx, S1, lo, y, child_depth)
+            lf = memo[lkey]
         if y == hi:
             # Right half degenerates to the single edge hi.
             if unrolled:
@@ -246,14 +204,11 @@ def _solve_matrix(ctx: SolveContext, S: int, lo: int, hi: int, depth: int) -> No
                 for ci, ai, bi in cells:
                     arrays[ci].append(lf[ai * 2 + bi])
             continue
-        if right_small:
-            rf = table_cells[(T * m + y) * m + hi]
-        else:
-            rkey = (T * m + y) * m + hi
-            rf = field_vals.get(rkey)
-            if rf is None:
-                _ensure_solved(ctx, T, y, hi, child_depth)
-                rf = field_vals[rkey]
+        rkey = (T * m + y) * m + hi
+        rf = memo.get(rkey)
+        if rf is None:
+            _solve_state(ctx, T, y, hi, child_depth)
+            rf = memo[rkey]
         if unrolled:
             lf0, lf1, lf2, lf3 = lf
             rf0, rf1, rf2, rf3 = rf
@@ -298,53 +253,34 @@ def _solve_matrix(ctx: SolveContext, S: int, lo: int, hi: int, depth: int) -> No
                 arrays[ci].append(best)
 
     vals4: list = [-1, -1, -1, -1]
-    wits4: list = [None, None, None, None]
+    splits4: list = [None, None, None, None]
     ledger = ctx.ledger
     if ctx.stochastic:
         rnd = ctx.rng.random
         repeats = ctx.repeats
         bconst = ctx.cfg.budget_constant
         for ci, ai, bi in cells:
-            val, idx, charged = _boosted_on_ints(arrays[ci], repeats, rnd, bconst)
+            val, idx, charged = _boosted(arrays[ci], repeats, rnd, bconst)
             ledger.charge(depth, charged)
             if val >= 0:
                 vals4[ci] = val
-                wits4[ci] = _winning_witness(
-                    ctx, cands[idx], lo, hi, ai, bi, val, left_small, right_small
-                )
+                splits4[ci] = _split_record(ctx, cands[idx], lo, hi, ai, bi, val)
     else:
         for ci, ai, bi in cells:
             arr = arrays[ci]
-            best = -1
-            idx = -1
-            for i, val in enumerate(arr):
-                if val > best:
-                    best, idx = val, i
+            best = max(arr)
             ledger.charge(depth, len(arr))
             if best >= 0:
                 vals4[ci] = best
-                wits4[ci] = _winning_witness(
-                    ctx, cands[idx], lo, hi, ai, bi, best, left_small, right_small
-                )
+                splits4[ci] = _split_record(ctx, cands[arr.index(best)], lo, hi, ai, bi, best)
 
     key = (S * m + lo) * m + hi
-    field_vals[key] = tuple(vals4)
-    field_vals[(S * m + hi) * m + lo] = _transpose_cells(vals4, n_lo, n_hi)
-    ctx.wits[key] = tuple(wits4)
+    memo[key] = tuple(vals4)
+    memo[(S * m + hi) * m + lo] = _transpose_cells(vals4, n_lo, n_hi)
+    ctx.table.splits[key] = tuple(splits4)
 
 
-def _cell_witness(ctx: SolveContext, S: int, v: int, u: int, vi: int, ui: int) -> Witness:
-    """Witness for a solved field cell, reversing when stored the other way."""
-    m = ctx.graph.edge_count
-    if v < u:
-        return ctx.wits[(S * m + v) * m + u][vi * 2 + ui]
-    arc_count = ctx.graph.arc_count
-    rv = (vi ^ 1) if arc_count[v] == 2 else 0
-    ru = (ui ^ 1) if arc_count[u] == 2 else 0
-    return RevWitness(ctx.wits[(S * m + u) * m + v][ru * 2 + rv])
-
-
-def _winning_witness(
+def _split_record(
     ctx: SolveContext,
     cand: tuple[int, int, int],
     lo: int,
@@ -352,119 +288,75 @@ def _winning_witness(
     ai: int,
     bi: int,
     target: int,
-    left_small: bool,
-    right_small: bool,
-) -> SplitNode:
+) -> tuple[int, int]:
+    """(S', pivot arc) of the winning candidate for cell (ai, bi): the pivot
+    orientation whose halves reproduce the cell's value."""
     g = ctx.graph
     m = g.edge_count
+    memo = ctx.table.cells
     S1, y, T = cand
-    if y == lo:
-        rf = (
-            ctx.table.matrices[(T * m + lo) * m + hi]
-            if T.bit_count() <= ctx.k_pre
-            else ctx.vals[(T * m + lo) * m + hi]
-        )
-        if rf[ai * 2 + bi] != target:
-            raise AssertionError("winning candidate no longer reproduces its value")
-        right = (
-            LeafWitness(T, 2 * lo + ai, 2 * hi + bi)
-            if T.bit_count() <= ctx.k_pre
-            else _cell_witness(ctx, T, lo, hi, ai, bi)
-        )
-        return SplitNode(S1, 2 * lo + ai, T, EdgeWitness(lo), right)
-    lf = (
-        ctx.table.matrices[(S1 * m + lo) * m + y]
-        if left_small
-        else ctx.vals[(S1 * m + lo) * m + y]
-    )
-    if y == hi:
-        if lf[ai * 2 + bi] != target:
-            raise AssertionError("winning candidate no longer reproduces its value")
-        left = (
-            LeafWitness(S1, 2 * lo + ai, 2 * hi + bi)
-            if left_small
-            else _cell_witness(ctx, S1, lo, y, ai, bi)
-        )
-        return SplitNode(S1, 2 * hi + bi, T, left, EdgeWitness(hi))
-    rf = (
-        ctx.table.matrices[(T * m + y) * m + hi]
-        if right_small
-        else ctx.vals[(T * m + y) * m + hi]
-    )
-    for gi in range(g.arc_count[y]):
-        lv = lf[ai * 2 + gi]
-        rv = rf[gi * 2 + bi]
-        if lv > 0 and rv > 0 and lv + rv - 1 == target:
-            left = (
-                LeafWitness(S1, 2 * lo + ai, 2 * y + gi)
-                if left_small
-                else _cell_witness(ctx, S1, lo, y, ai, gi)
-            )
-            right = (
-                LeafWitness(T, 2 * y + gi, 2 * hi + bi)
-                if right_small
-                else _cell_witness(ctx, T, y, hi, gi, bi)
-            )
-            return SplitNode(S1, 2 * y + gi, T, left, right)
+    if y == lo or y == hi:
+        half = memo[(T * m + lo) * m + hi] if y == lo else memo[(S1 * m + lo) * m + hi]
+        if half[ai * 2 + bi] == target:
+            return S1, (2 * lo + ai if y == lo else 2 * hi + bi)
+    else:
+        lf = memo[(S1 * m + lo) * m + y]
+        rf = memo[(T * m + y) * m + hi]
+        for gi in range(g.arc_count[y]):
+            lv = lf[ai * 2 + gi]
+            rv = rf[gi * 2 + bi]
+            if lv > 0 and rv > 0 and lv + rv - 1 == target:
+                return S1, 2 * y + gi
     raise AssertionError("winning candidate no longer reproduces its value")
 
 
 def solve_recursive(
     ctx: SolveContext, S: int, v: int, u: int, level: int = 0
 ) -> tuple[int | None, Witness | None]:
-    """L(S, v, u) through the split recursion, with a decomposition witness.
+    """L(S, v, u) through the split recursion, with its witness state.
 
     Membership guards return None without recursing; v == u short-circuits to
     the single-edge walk; sets on the precomputed layer resolve by lookup.
     """
-    g = ctx.graph
     if not (S >> v & 1 and S >> u & 1):
         return None, None
     if v == u:
-        return 1, EdgeWitness(v)
-    if S.bit_count() <= ctx.k_pre:
-        best: int | None = None
-        arcs: tuple[int, int] | None = None
-        for a in g.arcs_of(v):
-            for b in g.arcs_of(u):
-                val = ctx.table.get_arc(S, a, b)
-                if val is not None and (best is None or val > best):
-                    best, arcs = val, (a, b)
-        if best is None:
-            return None, None
-        return best, LeafWitness(S, arcs[0], arcs[1])
-    _ensure_solved(ctx, S, v, u, level)
-    m = g.edge_count
-    cells = ctx.vals[(S * m + v) * m + u]
-    best = -1
-    cell = -1
-    for ci in range(4):
-        val = cells[ci]
-        if val > best:
-            best, cell = val, ci
+        return 1, (S, 2 * v, 2 * v)
+    m = ctx.graph.edge_count
+    key = (S * m + v) * m + u
+    cells = ctx.table.cells.get(key)
+    if cells is None:
+        _solve_state(ctx, S, v, u, level)
+        cells = ctx.table.cells[key]
+    best = max(cells)
     if best < 0:
         return None, None
-    return best, _cell_witness(ctx, S, v, u, cell >> 1, cell & 1)
+    cell = cells.index(best)
+    return best, (S, 2 * v + (cell >> 1), 2 * u + (cell & 1))
 
 
 def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
-    """Expand a witness tree into the edge sequence it stands for."""
-    if isinstance(w, EdgeWitness):
-        return [w.edge]
-    if isinstance(w, LeafWitness):
-        return reconstruct_arc(table, w.subset, w.first_arc, w.last_arc)
-    if isinstance(w, RevWitness):
-        return list(reversed(reconstruct_from_witness(w.inner, table)))
-    if isinstance(w, SplitNode):
-        left = reconstruct_from_witness(w.left, table)
-        right = reconstruct_from_witness(w.right, table)
-        pivot = w.pivot_arc >> 1
-        if left[-1] != pivot or right[0] != pivot:
-            raise ValueError(
-                f"inconsistent witness: halves do not share pivot edge {pivot}"
-            )
-        return left + right[1:]
-    raise TypeError(f"not a witness: {w!r}")
+    """Rebuild the walk of the witness state (S, first arc, last arc)."""
+    S, a, b = w
+    g = table.g
+    v, u = a >> 1, b >> 1
+    if v == u:
+        return [v]
+    if S.bit_count() <= table.k_pre:
+        return reconstruct_arc(table, S, a, b)
+    if v > u:
+        forward = (S, g.reverse_arc(b), g.reverse_arc(a))
+        return reconstruct_from_witness(forward, table)[::-1]
+    m = g.edge_count
+    S1, pivot_arc = table.splits[(S * m + v) * m + u][(a & 1) * 2 + (b & 1)]
+    pivot = pivot_arc >> 1
+    left = reconstruct_from_witness((S1, a, pivot_arc), table)
+    right = reconstruct_from_witness(((S & ~S1) | (1 << pivot), pivot_arc, b), table)
+    if left[-1] != pivot or right[0] != pivot:
+        raise ValueError(
+            f"inconsistent witness: halves do not share pivot edge {pivot}"
+        )
+    return left + right[1:]
 
 
 def solve_hybrid(g: Graph, cfg: HybridConfig) -> SolveResult:
@@ -474,20 +366,15 @@ def solve_hybrid(g: Graph, cfg: HybridConfig) -> SolveResult:
         check_edge_budget(m, HYBRID_STOCH_MAX_EDGES, "stochastic hybrid solver")
     else:
         check_edge_budget(m, HYBRID_DET_MAX_EDGES, "deterministic hybrid solver")
-    deterministic = cfg.mode == MODE_DETERMINISTIC
     if m == 0:
-        return SolveResult(0, (), QueryLedger(), 0, deterministic)
+        return SolveResult(0, (), QueryLedger(), 0)
     ctx = SolveContext.create(g, cfg)
     E = g.full_edge_set
     best = 0
     best_wit: Witness | None = None
     for v in range(m):
         for u in range(m):
-            if v == u:
-                val: int | None = 1
-                wit: Witness | None = EdgeWitness(v)
-            else:
-                val, wit = solve_recursive(ctx, E, v, u, 0)
+            val, wit = solve_recursive(ctx, E, v, u, 0)
             if val is not None and val > best:
                 best, best_wit = val, wit
     trail: list[int] = []
@@ -496,7 +383,7 @@ def solve_hybrid(g: Graph, cfg: HybridConfig) -> SolveResult:
     verdict = validate_trail(g, trail)
     if not verdict.ok or len(trail) != best:
         raise AssertionError(f"solver returned an unusable walk: {verdict.reason}")
-    return SolveResult(best, tuple(trail), ctx.ledger, len(ctx.table), deterministic)
+    return SolveResult(best, tuple(trail), ctx.ledger, len(ctx.table))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from typing import Sequence
 
 _NEG_INF = float("-inf")
 
@@ -66,31 +61,18 @@ class QmaxOutcome:
 
 
 class ValueOracle:
-    """Indexed value sequence, evaluated lazily.
+    """Indexed value sequence that a maximum-finding search runs over; None
+    marks an index with no value."""
 
-    `evaluate` may recursively trigger nested searches; `snapshot` evaluates
-    every index once and caches the result, fixing this run's view of the
-    sequence.
-    """
-
-    def __init__(self, size: int, evaluate: Callable[[int], int | None]):
-        if size < 1:
+    def __init__(self, values: Sequence):
+        if len(values) < 1:
             raise ValueError("oracle needs at least one value")
-        self.size = size
-        self.evaluate = evaluate
-        self._values: Sequence[int | None] | None = None
+        self.values = values
+        self.size = len(values)
 
     @classmethod
-    def from_values(cls, values) -> "ValueOracle":
-        oracle = cls(len(values), lambda i: values[i])
-        oracle._values = values
-        return oracle
-
-    def snapshot(self):
-        if self._values is None:
-            ev = self.evaluate
-            self._values = [ev(i) for i in range(self.size)]
-        return self._values
+    def from_values(cls, values: Sequence) -> "ValueOracle":
+        return cls(values)
 
 
 def grover_stage_cost(N: int, t: int) -> int:
@@ -104,7 +86,7 @@ def qmax_exhaustive(
     oracle: ValueOracle, ledger: QueryLedger, *, level: int | str = 0
 ) -> QmaxOutcome:
     """Deterministic reference mode: evaluate everything, charge N queries."""
-    values = oracle.snapshot()
+    values = oracle.values
     best = None
     witness = None
     for i, val in enumerate(values):
@@ -113,28 +95,6 @@ def qmax_exhaustive(
             witness = i
     ledger.charge(level, oracle.size)
     return QmaxOutcome(best, witness, oracle.size)
-
-
-def _prepare(values):
-    """Sort indices by value descending (ties by index) and annotate each
-    rank with the count of strictly greater values."""
-    N = len(values)
-    if _np is not None and isinstance(values, _np.ndarray):
-        order = _np.argsort(-values, kind="stable")
-        svals = values[order].tolist()
-        order = order.tolist()
-    else:
-        if None in values:
-            keyed = [(_NEG_INF if v is None else v) for v in values]
-        else:
-            keyed = values
-        # Stable reverse sort: descending by value, ties by original index.
-        order = sorted(range(N), key=keyed.__getitem__, reverse=True)
-        svals = [values[i] for i in order]
-    greater = [0] * N
-    for r in range(1, N):
-        greater[r] = greater[r - 1] if svals[r] == svals[r - 1] else r
-    return order, svals, greater
 
 
 _COST_TABLES: dict[int, list[int]] = {}
@@ -150,12 +110,15 @@ def _stage_costs(N: int) -> list[int]:
     return table
 
 
-def _boosted_on_values(values, repeats: int, rnd, budget_constant: float):
+def _boosted(values: list, repeats: int, rnd, budget_constant: float):
     """Hot-path core shared by the public qmax entry points and the hybrid
-    solver: `repeats` threshold-search trajectories over one value sequence.
+    solver: `repeats` threshold-search trajectories over one list of
+    mutually comparable values.
 
     `rnd` is a bound `Random.random` method; repeats consume disjoint
-    segments of that stream.  Returns (value, witness_index, charged_total).
+    segments of that stream.  Returns (value, witness_index, charged_total)
+    for the first outcome attaining the best value sampled.  The caller
+    decides whether that value means "nothing found".
 
     The trajectory walks ranks of the descending value order: the initial
     uniform index sample is taken directly in rank space (a bijection of
@@ -165,58 +128,26 @@ def _boosted_on_values(values, repeats: int, rnd, budget_constant: float):
     possibly non-maximal) element.
     """
     N = len(values)
-    budget = budget_constant * math.ceil(math.sqrt(N))
-    order, svals, greater = _prepare(values)
-    costs = _stage_costs(N)
-    best_rank = -1
-    best_val = None
-    total = 0
-    for _ in range(repeats):
+    first = values[0]
+    if values.count(first) == N:
+        # No value beats any sample: each repeat draws its start and stops,
+        # and the first repeat's index is the outcome.
         r = int(rnd() * N)
         if r >= N:
             r = N - 1
-        charged = 1
-        t = greater[r]
-        while t:
-            cost = costs[t]
-            if charged + cost > budget:
-                break
-            charged += cost
-            r = int(rnd() * t)
-            if r >= t:
-                r = t - 1
-            t = greater[r]
-        total += charged
-        # Keep the first outcome attaining the maximal value.
-        val = svals[r]
-        if val is not None and (best_rank < 0 or val > best_val):
-            best_rank = r
-            best_val = val
-    if best_rank < 0:
-        return None, None, total
-    return best_val, order[best_rank], total
-
-
-def _boosted_on_ints(values, repeats: int, rnd, budget_constant: float):
-    """Variant of `_boosted_on_values` over pure-int sequences where -1
-    encodes "no walk"; walk lengths are always positive.  The hybrid solver
-    keeps its value cells in this form so the trajectory loop runs without
-    per-element None handling."""
-    N = len(values)
-    if max(values) < 0:
-        # Nothing to find: each repeat samples once and stops immediately.
-        for _ in range(repeats):
+        for _ in range(repeats - 1):
             rnd()
-        return -1, -1, repeats
+        return first, r, repeats
     budget = budget_constant * math.ceil(math.sqrt(N))
+    # Stable reverse sort: descending by value, ties by original index.
     order = sorted(range(N), key=values.__getitem__, reverse=True)
     svals = [values[i] for i in order]
     greater = [0] * N
     for r in range(1, N):
         greater[r] = greater[r - 1] if svals[r] == svals[r - 1] else r
     costs = _stage_costs(N)
-    best_rank = 0
-    best_val = -1
+    best_rank = -1
+    best_val = first
     total = 0
     for _ in range(repeats):
         r = int(rnd() * N)
@@ -235,11 +166,9 @@ def _boosted_on_ints(values, repeats: int, rnd, budget_constant: float):
             t = greater[r]
         total += charged
         val = svals[r]
-        if val > best_val:
-            best_val = val
+        if best_rank < 0 or val > best_val:
             best_rank = r
-    if best_val < 0:
-        return -1, -1, total
+            best_val = val
     return best_val, order[best_rank], total
 
 
@@ -252,11 +181,9 @@ def qmax_durr_hoyer(
     budget_constant: float = 23.0,
 ) -> QmaxOutcome:
     """One bounded-error maximum-finding run over the oracle's values."""
-    val, idx, charged = _boosted_on_values(
-        oracle.snapshot(), 1, rng.random, budget_constant
+    return boosted_qmax(
+        oracle, 1, rng, ledger, level=level, budget_constant=budget_constant
     )
-    ledger.charge(level, charged)
-    return QmaxOutcome(val, idx, charged)
 
 
 def boosted_qmax(
@@ -276,8 +203,13 @@ def boosted_qmax(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    val, idx, charged = _boosted_on_values(
-        oracle.snapshot(), repeats, rng.random, budget_constant
-    )
+    values = oracle.values
+    if hasattr(values, "tolist"):  # numpy array: plain ints sort faster
+        values = values.tolist()
+    if None in values:
+        values = [_NEG_INF if v is None else v for v in values]
+    val, idx, charged = _boosted(values, repeats, rng.random, budget_constant)
     ledger.charge(level, charged)
+    if val == _NEG_INF:
+        return QmaxOutcome(None, None, charged)
     return QmaxOutcome(val, idx, charged)

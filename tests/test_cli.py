@@ -88,14 +88,6 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", path, "--engine", "dp")
         assert code == 2 and "out of range" in err
 
-    def test_table_dump(self, capsys, tmp_path):
-        path = self._write(tmp_path, K4_TEXT)
-        dump = tmp_path / "cache.bin"
-        code, _, err = run_cli(capsys, "solve", path, "--engine", "hybrid",
-                               "--dump-table", str(dump))
-        assert code == 0
-        assert dump.stat().st_size > 0 and "table records" in err
-
 
 class TestVerify:
     def test_random_instances(self, capsys):

@@ -17,9 +17,7 @@ from longtrail.dp import (
     get_len,
     get_len_arc,
     precompute_layer,
-    read_table_dump,
     reconstruct_path,
-    write_table_dump,
 )
 from longtrail.graphs import (
     Graph,
@@ -222,7 +220,7 @@ class TestPrecomputeLayer:
     def test_matrix_view_consistent(self):
         g = random_graph(5, 8, 77)
         table = precompute_layer(g, LayerSpec.for_graph(8))
-        for key, cells in table.matrices.items():
+        for key, cells in table.cells.items():
             rem, u = divmod(key, 8)
             S, v = divmod(rem, 8)
             for ai, a in enumerate(g.arcs_of(v)):
@@ -305,25 +303,3 @@ class TestReconstruct:
                     assert len(trail) == val
                     assert trail[0] == v and trail[-1] == u
                     assert validate_trail(g, trail).ok
-
-
-class TestTableDump:
-    def test_round_trip(self, tmp_path):
-        g = random_graph(4, 7, 55)
-        table = precompute_layer(g, LayerSpec.for_graph(7))
-        path = tmp_path / "table.bin"
-        count = write_table_dump(table, str(path))
-        records = read_table_dump(str(path), 7)
-        assert len(records) == count
-        seen = {}
-        for S, v, u, length, pred in records:
-            seen[(S, v, u)] = (length, pred)
-        # Spot-check collapsed values against the live table.
-        for (S, v, u), (length, _pred) in seen.items():
-            best = None
-            for a in g.arcs_of(v):
-                for b in g.arcs_of(u):
-                    val = table.get_arc(S, a, b)
-                    if val is not None and (best is None or val > best):
-                        best = val
-            assert (best if best is not None else -1) == length

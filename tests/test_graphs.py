@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,18 @@ class TestParse:
     def test_round_trip(self, g):
         assert parse_graph(serialize_graph(g)) == g
 
+    def test_header_vertex_count_claims_no_memory(self):
+        # Per-vertex structures cover only the vertices that occur in edges.
+        tracemalloc.start()
+        try:
+            g = parse_graph("2000000 1\n0 1\n")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert g.vertex_count == 2000000
+        assert serialize_graph(g) == "2000000 1\n0 1\n"
+
 
 class TestIncidence:
     def test_triangle(self):
@@ -90,6 +104,16 @@ class TestIncidence:
                     assert bool(incident_edges(g, e) >> f & 1) == bool(
                         incident_edges(g, f) >> e & 1
                     )
+
+    @settings(max_examples=60)
+    @given(graphs_strategy)
+    def test_arcs_before_end_at_the_tail(self, g):
+        # arc 2e + d has head edges[e][d] and tail edges[e][1 - d]
+        arcs = [a for e in range(g.edge_count) for a in g.arcs_of(e)]
+        for b in arcs:
+            tail = g.edges[b >> 1][1 - (b & 1)]
+            want = tuple(c for c in arcs if g.edges[c >> 1][c & 1] == tail)
+            assert g.arcs_before[b] == want
 
 
 class TestValidateTrail:

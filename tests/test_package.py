@@ -1,0 +1,47 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import longtrail
+
+
+def test_all_names_resolve():
+    for name in longtrail.__all__:
+        assert getattr(longtrail, name) is not None, name
+    namespace: dict = {}
+    exec("from longtrail import *", namespace)
+    assert set(longtrail.__all__) <= namespace.keys()
+    assert "validate_trail" in longtrail.__all__
+    for module in ("bruteforce", "dp", "graphs", "hybrid", "qmax"):
+        assert hasattr(longtrail, module), module
+
+
+_REJECTING_RUN = """
+import sys
+from longtrail import bruteforce, dp
+from longtrail.graphs import Graph, TrailVerdict
+
+assert sys.flags.optimize
+reject = lambda g, trail: TrailVerdict(False, "rejected")
+bruteforce.validate_trail = reject
+dp.validate_trail = reject
+g = Graph(3, ((0, 1), (1, 2), (2, 0)))
+for engine in (bruteforce.longest_trail_bruteforce, dp.full_dp_longest_trail):
+    try:
+        engine(g)
+    except AssertionError:
+        print("raised")
+    else:
+        print("returned")
+"""
+
+
+def test_engines_check_trails_under_optimize():
+    # `python -O` strips assert statements; the engines' trail checks must
+    # still raise there.
+    src = str(Path(longtrail.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _REJECTING_RUN], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["raised", "raised"]

@@ -217,21 +217,9 @@ class TestLedger:
 
 
 class TestValueOracle:
-    def test_snapshot_evaluates_once(self):
-        calls = []
-
-        def ev(i):
-            calls.append(i)
-            return i * 2
-
-        o = ValueOracle(5, ev)
-        assert o.snapshot() == [0, 2, 4, 6, 8]
-        assert o.snapshot() == [0, 2, 4, 6, 8]
-        assert calls == [0, 1, 2, 3, 4]
-
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            ValueOracle(0, lambda i: i)
+            ValueOracle.from_values([])
 
     def test_numpy_values(self):
         import numpy as np
