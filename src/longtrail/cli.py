@@ -19,6 +19,7 @@ from .dp import full_dp_longest_trail
 from .graphs import (
     Graph,
     GraphFormatError,
+    ParityBound,
     SizeLimitError,
     parse_graph,
     random_graph,
@@ -155,7 +156,11 @@ def cmd_verify(args) -> int:
             for name, t in trails.items()
             if lengths[name] > 0
         )
-        ok = valid and len(set(lengths.values())) == 1
+        # The DP prunes by the Euler-parity bound and the oracle shares no
+        # code with it, so every verified instance checks the bound too.
+        bound = ParityBound(g).whole
+        ok = (valid and len(set(lengths.values())) == 1
+              and all(length <= bound for length in lengths.values()))
         agreed += ok
         rows.append({"instance": i, "n": g.vertex_count, "m": g.edge_count,
                      "lengths": lengths, "ok": ok})

@@ -19,6 +19,22 @@ per state so any stored walk can be rebuilt by chaining.
 
 Public entry points expose the edge-level view L(S, v, u) = max over the arc
 pairs of the two edges; the arc level stays available for the hybrid solver.
+
+`full_dp_longest_trail` maximises L(E, a, b) over every pair of arcs on
+distinct edges, and most of those pairs cannot win.  A trail from tail(a) to
+head(b) leaves behind the rest of its component, whose odd-degree vertices
+are the component's odd set with both end vertices toggled; each leftover
+edge covers at most two of them, so
+
+    L(E, a, b) <= |E_c| - |odd(E_c) sym-diff {tail(a), head(b)}| / 2
+
+(`graphs.ParityBound`), and L is None across components.  The pair loop
+skips a pair whose bound is at most the best length found so far, before
+any state of it is computed.  The loop replaces its incumbent only on a
+strictly greater value, so a skipped pair could never have become the
+incumbent, and the first maximiser in loop order, with its trail, is the
+one the unpruned loop finds.  Every memo entry that is computed is still
+exact, so the trail rebuild and the hybrid's layer are untouched.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bruteforce import OracleResult
-from .graphs import Graph, check_edge_budget, validate_trail
+from .graphs import Graph, ParityBound, check_edge_budget, validate_trail
 
 FULL_DP_MAX_EDGES = 20
 _MISSING = object()
@@ -234,15 +250,19 @@ def full_dp_longest_trail(g: Graph) -> OracleResult:
     if m == 0:
         return OracleResult(0, ())
     table = DpTable(g)
+    bound = ParityBound(g)
     E = g.full_edge_set
     best = 0
     best_arcs: tuple[int, int] | None = None
     for v in range(m):
         for a in g.arcs_of(v):
+            start = g.arc_tail(a)
             for u in range(m):
                 if u == v:
                     continue
                 for b in g.arcs_of(u):
+                    if bound.between(start, g.arc_head(b)) <= best:
+                        continue
                     val = get_len_arc(g, E, a, b, table)
                     if val is not None and val > best:
                         best = val

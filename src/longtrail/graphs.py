@@ -19,6 +19,7 @@ single arc (d = 0).  Solvers use arcs internally to track walk orientation.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -103,6 +104,14 @@ class Graph:
         u, v = self.edges[e]
         return arc if u == v else arc ^ 1
 
+    def arc_head(self, arc: int) -> int:
+        """The vertex a walk sits on after traversing the arc."""
+        return self.edges[arc >> 1][arc & 1]
+
+    def arc_tail(self, arc: int) -> int:
+        """The vertex a walk leaves from when it traverses the arc."""
+        return self.edges[arc >> 1][~arc & 1]
+
 
 # ---------------------------------------------------------------------------
 # Edge-set helpers (bitmask ints)
@@ -131,6 +140,60 @@ def incident_edges(g: Graph, e: int) -> int:
         raise IndexError(f"edge index {e} out of range")
     u, v = g.edges[e]
     return (g.vertex_edge_masks[u] | g.vertex_edge_masks[v]) & ~(1 << e)
+
+
+# ---------------------------------------------------------------------------
+# Euler-parity bound
+
+class ParityBound:
+    """Upper bounds on trail lengths from degree parity (Euler; Hierholzer 1873).
+
+    A trail from vertex x to vertex y inside the connected component c leaves
+    behind the rest of E_c, whose odd-degree vertices are odd(E_c) with x and
+    y toggled (nothing toggles when x = y).  An edge ends at two vertices, so
+    a graph with k odd vertices has at least k/2 edges, and
+
+        L <= |E_c| - |odd(E_c) sym-diff {x, y}| / 2;
+
+    no trail joins two components.  The largest of these over all x, y is
+    `whole` = max over c of |E_c| - max(0, odd_c/2 - 1), which is the
+    longest trail's exact length when the best component has at most two
+    odd vertices.  Everything is sized by the vertices that occur in edges,
+    never by the header's vertex count: O(m) to build, O(1) per query.
+    """
+
+    def __init__(self, g: Graph):
+        root: dict[int, int] = {}
+
+        def find(w: int) -> int:
+            while root.setdefault(w, w) != w:
+                root[w] = w = root[root[w]]
+            return w
+
+        odd: set[int] = set()
+        for u, v in g.edges:
+            root[find(u)] = find(v)
+            odd ^= {u}
+            odd ^= {v}
+        self._component = {w: find(w) for w in root}
+        self._odd = odd
+        self._edge_count = Counter(self._component[u] for u, _v in g.edges)
+        self._odd_count = Counter(self._component[w] for w in odd)
+        self.whole = max(
+            (size - max(0, self._odd_count[c] // 2 - 1)
+             for c, size in self._edge_count.items()),
+            default=0,
+        )
+
+    def between(self, x: int, y: int) -> int:
+        """Bound on the length of any trail that starts at x and ends at y."""
+        c = self._component.get(x)
+        if c is None or c != self._component.get(y):
+            return 0
+        k = self._odd_count[c]
+        if x != y:
+            k += (-1 if x in self._odd else 1) + (-1 if y in self._odd else 1)
+        return self._edge_count[c] - k // 2
 
 
 # ---------------------------------------------------------------------------

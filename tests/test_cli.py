@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from longtrail import cli
 from longtrail.cli import main
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n2 0\n"
@@ -114,6 +115,24 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0
         assert set(payload["results"][0]["lengths"].values()) == {0}
+
+    def test_length_above_the_parity_bound_fails(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text(TRIANGLE_TEXT)
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["ok"]
+
+        class LowBound:
+            def __init__(self, g):
+                self.whole = g.edge_count - 1
+
+        monkeypatch.setattr(cli, "ParityBound", LowBound)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        payload = json.loads(out)
+        assert code == 1 and not payload["ok"] and payload["agreed"] == 0
+        assert set(payload["results"][0]) == {"instance", "n", "m", "lengths", "ok"}
+        assert payload["results"][0]["lengths"] == {"oracle": 3, "dp": 3, "hybrid-det": 3}
+        assert "MISMATCH" in err
 
     def test_requires_one_source(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from longtrail.dp import (
 )
 from longtrail.graphs import (
     Graph,
+    ParityBound,
     SizeLimitError,
     bits_of,
     edge_set,
@@ -140,6 +142,37 @@ class TestFullDp:
     def test_size_bound(self):
         with pytest.raises(SizeLimitError):
             full_dp_longest_trail(random_graph(6, 21, 0))
+
+
+class TestPastOracleCeiling:
+    """Exact checks where the oracle cannot go: the longest trail meets the
+    Euler-parity bound, so the bound certifies the DP's length."""
+
+    @pytest.mark.parametrize("n, m, seed", [(5, 18, 11), (6, 20, 11)])
+    def test_reaches_the_parity_bound(self, n, m, seed):
+        # Without pruning these took 66 s / 2.1 GB and 141 s / 4.3 GB.
+        g = random_graph(n, m, seed)
+        tracemalloc.start()
+        try:
+            res = full_dp_longest_trail(g)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.length == ParityBound(g).whole == 18
+        assert len(res.trail) == res.length
+        assert validate_trail(g, res.trail).ok
+        assert peak < 256 << 20
+
+    def test_eulerian_circuit_gives_m(self):
+        # two Hamiltonian cycles on nine vertices plus two loops: all
+        # degrees even, one component, so the whole edge set is one trail
+        order = [0, 2, 4, 6, 8, 1, 3, 5, 7]
+        edges = [(i, (i + 1) % 9) for i in range(9)]
+        edges += [(order[i], order[(i + 1) % 9]) for i in range(9)]
+        g = Graph(9, tuple(edges + [(3, 3), (6, 6)]))
+        res = full_dp_longest_trail(g)
+        assert res.length == g.edge_count == 20
+        assert validate_trail(g, res.trail).ok
 
 
 class TestLayerSpec:

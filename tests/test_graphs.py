@@ -1,12 +1,16 @@
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longtrail.bruteforce import longest_trail_bruteforce
+from longtrail.dp import DpTable, full_dp_longest_trail, get_len_arc
 from longtrail.graphs import (
     Graph,
     GraphFormatError,
+    ParityBound,
     edge_set,
     incident_edges,
     parse_graph,
@@ -79,6 +83,18 @@ class TestParse:
         assert g.vertex_count == 2000000
         assert serialize_graph(g) == "2000000 1\n0 1\n"
 
+    def test_header_vertex_count_sizes_no_solver_structure(self):
+        # The DP and its parity bound cover only the vertices in edges too.
+        g = parse_graph("2000000 1\n0 1\n")
+        tracemalloc.start()
+        try:
+            res = full_dp_longest_trail(g)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (res.length, res.trail) == (1, (0,))
+
 
 class TestIncidence:
     def test_triangle(self):
@@ -114,6 +130,88 @@ class TestIncidence:
             tail = g.edges[b >> 1][1 - (b & 1)]
             want = tuple(c for c in arcs if g.edges[c >> 1][c & 1] == tail)
             assert g.arcs_before[b] == want
+
+
+    @settings(max_examples=60)
+    @given(graphs_strategy)
+    def test_arc_ends(self, g):
+        for e, (u, v) in enumerate(g.edges):
+            assert {(g.arc_tail(a), g.arc_head(a)) for a in g.arcs_of(e)} == {(u, v), (v, u)}
+            for a in g.arcs_of(e):
+                assert g.arc_head(g.reverse_arc(a)) == g.arc_tail(a)
+
+
+def odd_vertices(g):
+    odd = set()
+    for u, v in g.edges:
+        odd ^= {u}
+        odd ^= {v}
+    return odd
+
+
+def is_connected(g):
+    if not g.edges:
+        return True
+    seen, todo = set(), [g.edges[0][0]]
+    while todo:
+        w = todo.pop()
+        if w not in seen:
+            seen.add(w)
+            todo += [y for x, y in g.edges if x == w] + [x for x, y in g.edges if y == w]
+    return all(u in seen for u, _ in g.edges)
+
+
+def seeded_graphs(count, seed, max_m):
+    """Random multigraphs (loops and parallel edges included); a quarter of
+    them get a disjoint second component."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n, m = rnd.randint(1, 6), rnd.randint(1, max_m)
+        g = random_graph(n, m, rnd.randrange(1 << 30))
+        if m < max_m and rnd.random() < 0.25:
+            extra = random_graph(n, rnd.randint(1, max_m - m), rnd.randrange(1 << 30))
+            g = Graph(2 * n, g.edges + tuple((u + n, v + n) for u, v in extra.edges))
+        yield g
+
+
+class TestParityBound:
+    def test_hand_computed(self):
+        star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+        assert ParityBound(star).whole == 2
+        assert ParityBound(star).between(1, 2) == 2
+        assert ParityBound(TRIANGLE).whole == 3
+        assert ParityBound(TRIANGLE).between(0, 0) == 3
+        assert ParityBound(TRIANGLE).between(0, 1) == 2
+        assert ParityBound(DISJOINT).whole == 1
+        assert ParityBound(DISJOINT).between(0, 2) == 0
+        assert ParityBound(Graph(5, ((0, 1),))).between(4, 4) == 0
+        assert ParityBound(Graph(1, ((0, 0),))).whole == 1
+        assert ParityBound(Graph(3, ())).whole == 0
+        # two triangles sharing vertex 0, plus a pendant edge at 1
+        bowtie = Graph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (1, 5)))
+        assert ParityBound(bowtie).whole == 7
+        assert ParityBound(bowtie).between(1, 1) == 6
+
+    def test_bound_covers_every_arc_pair(self):
+        for g in seeded_graphs(80, seed=31, max_m=10):
+            bound, table, E = ParityBound(g), DpTable(g), g.full_edge_set
+            arcs = [a for e in range(g.edge_count) for a in g.arcs_of(e)]
+            for a in arcs:
+                for b in arcs:
+                    if a >> 1 == b >> 1:
+                        continue
+                    length = get_len_arc(g, E, a, b, table) or 0
+                    assert bound.between(g.arc_tail(a), g.arc_head(b)) >= length, (g.edges, a, b)
+
+    def test_whole_bound_is_exact_with_at_most_two_odd_vertices(self):
+        # Euler: a connected graph with 0 or 2 odd vertices is one trail.
+        checked = 0
+        for g in seeded_graphs(400, seed=57, max_m=10):
+            if not is_connected(g) or len(odd_vertices(g)) > 2:
+                continue
+            assert ParityBound(g).whole == longest_trail_bruteforce(g).length, g.edges
+            checked += 1
+        assert checked >= 100
 
 
 class TestValidateTrail:
