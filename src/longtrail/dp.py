@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .bruteforce import OracleResult
-from .graphs import Graph, ParityBound, check_edge_budget, validate_trail
+from .graphs import Graph, ParityBound, check_edge_budget, edge_set, validate_trail
 
 FULL_DP_MAX_EDGES = 20
 _MISSING = object()
@@ -101,10 +101,13 @@ class DpTable:
 
     `cells` is the hybrid solver's state memo, keyed by (S * m + v) * m + u
     for edges v != u.  Each value is a 4-slot tuple of L(S, arc(v, i),
-    arc(u, j)) at slot i*2 + j, with -1 for "no walk" (and for the
-    orientations a loop does not have), so the solver's hot path never
-    touches None.  `precompute_layer` fills it for the layer; the hybrid
-    adds the states above the layer under both endpoint orders.
+    arc(u, j)) at slot i*2 + j, with -1 for "no walk", so the solver's
+    hot path never touches None.  Padding contract: a loop has the single
+    orientation 0, so every slot with i = 1 when v is a loop, or j = 1 when
+    u is a loop, holds -1.  The hybrid's combine relies on this instead of
+    checking arc counts.  `precompute_layer` writes each layer state's cell
+    as it computes the state; the hybrid adds the states above the layer
+    under both endpoint orders.
 
     `splits` holds, for each state above the layer keyed with v < u, a
     4-slot tuple of split records (S', pivot arc), or None where the cell
@@ -124,11 +127,6 @@ class DpTable:
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b
 
-    def unpack(self, key: int) -> tuple[int, int, int]:
-        key, b = divmod(key, self._A)
-        S, a = divmod(key, self._A)
-        return S, a, b
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -142,22 +140,6 @@ class DpTable:
         if hit is _MISSING:
             raise TableLookupError(f"state (S={S:#x}, a={a}, b={b}) not in table")
         return hit[0]
-
-    def finalize_cells(self) -> None:
-        """Fill `cells` from the per-arc entries."""
-        m = self.g.edge_count
-        grid: dict[int, list[int]] = {}
-        for key, (length, _pred) in self.entries.items():
-            S, a, b = self.unpack(key)
-            v, u = a >> 1, b >> 1
-            gkey = (S * m + v) * m + u
-            cells = grid.get(gkey)
-            if cells is None:
-                cells = [-1, -1, -1, -1]
-                grid[gkey] = cells
-            if length is not None:
-                cells[(a & 1) * 2 + (b & 1)] = length
-        self.cells = {k: tuple(c) for k, c in grid.items()}
 
 
 def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
@@ -215,8 +197,9 @@ def precompute_layer(
 
     Sweeps each cardinality in deterministic lexicographic order, so the
     table is complete for the whole layer, not only for states the largest
-    sets happen to reach.  Fails fast when the projected entry count exceeds
-    the budget.
+    sets happen to reach, and writes each state's 4-slot cell as it goes.
+    Singleton states stay implicit (`get_arc` answers them).  Fails fast
+    when the projected entry count exceeds the budget.
     """
     m = g.edge_count
     if m < 1:
@@ -230,16 +213,18 @@ def precompute_layer(
             f"budget is {entry_budget}"
         )
     table = DpTable(g, spec.k_pre)
-    for k in range(1, spec.k_pre + 1):
+    cells = table.cells
+    for k in range(2, spec.k_pre + 1):
         for combo in combinations(range(m), k):
-            S = 0
-            for i in combo:
-                S |= 1 << i
-            arcs = [arc for e in combo for arc in g.arcs_of(e)]
-            for a in arcs:
-                for b in arcs:
-                    get_len_arc(g, S, a, b, table)
-    table.finalize_cells()
+            S = edge_set(combo)
+            for v, u in permutations(combo, 2):
+                cell = [-1, -1, -1, -1]
+                for ai, a in enumerate(g.arcs_of(v)):
+                    for bi, b in enumerate(g.arcs_of(u)):
+                        val = get_len_arc(g, S, a, b, table)
+                        if val is not None:
+                            cell[ai * 2 + bi] = val
+                cells[(S * m + v) * m + u] = tuple(cell)
     return table
 
 

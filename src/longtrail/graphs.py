@@ -130,18 +130,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def incident_edges(g: Graph, e: int) -> int:
-    """Edge-set bitmask of edges sharing at least one endpoint with edge e.
-
-    Edge e itself is excluded.  A self-loop at w is incident to every other
-    edge touching w.
-    """
-    if not 0 <= e < g.edge_count:
-        raise IndexError(f"edge index {e} out of range")
-    u, v = g.edges[e]
-    return (g.vertex_edge_masks[u] | g.vertex_edge_masks[v]) & ~(1 << e)
-
-
 # ---------------------------------------------------------------------------
 # Euler-parity bound
 

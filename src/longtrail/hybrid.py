@@ -27,7 +27,15 @@ maps a state to a 4-slot cell tuple indexed by the arc orientations of the
 two endpoint edges (slot = first*2 + last), so one dict hit serves all
 orientation combinations.  `precompute_layer` fills it for |S| <= k_pre and
 the split recursion adds each state above the layer, under both endpoint
-orders.  For every solved cell above the layer, `DpTable.splits` keeps one
+orders.  "No walk" and "no such orientation" are both written -1: every
+slot of an orientation a loop lacks holds -1 (the `DpTable` padding
+contract).  A half that is the pivot edge alone reads the constant
+single-edge cell (1, -1, -1, 1), or (1, -1, -1, -1) for a loop, so each arc
+pairs only with itself.  So every candidate goes through one 4-slot combine,
+max over c of left[a, c] + right[c, b] - 1, and only the slots of
+orientations both endpoints have are searched and charged.
+
+For every solved cell above the layer, `DpTable.splits` keeps one
 record (S', pivot arc) of the winning candidate.  A witness is a state
 triple (S, first arc, last arc); its walk is rebuilt by chaining the split
 records down to the layer, where the DP's predecessor arcs take over.
@@ -144,16 +152,19 @@ def _candidates(S: int, lo: int, hi: int, h: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _transpose_cells(cells: tuple, n_first: int, n_second: int) -> tuple:
-    """Reorder a cell tuple for the reversed endpoint order."""
+# The cell of a half that is the pivot edge alone, by the edge's arc count:
+# each arc is a walk of length 1 that starts and ends on itself.
+_SINGLE_EDGE = {1: (1, -1, -1, -1), 2: (1, -1, -1, 1)}
+
+
+def _transpose_cells(cells: tuple, flip_first: int, flip_second: int) -> tuple:
+    """Reorder a cell tuple for the reversed endpoint order.  Reversing a
+    walk flips the orientation of each end edge that is not a loop (flip 1);
+    a loop's missing slot is -1 and is never written."""
     out: list = [-1, -1, -1, -1]
-    for ai in range(n_first):
-        ra = (ai ^ 1) if n_first == 2 else 0
-        for bi in range(n_second):
-            v = cells[ai * 2 + bi]
-            if v >= 0:
-                rb = (bi ^ 1) if n_second == 2 else 0
-                out[rb * 2 + ra] = v
+    for slot, val in enumerate(cells):
+        if val >= 0:
+            out[((slot & 1) ^ flip_second) * 2 + ((slot >> 1) ^ flip_first)] = val
     return tuple(out)
 
 
@@ -167,90 +178,62 @@ def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
     size = S.bit_count()
     h = _split_size(size, ctx.k_pre)
     cands = _candidates(S, lo, hi, h)
-    arc_count = g.arc_count
-    n_lo = arc_count[lo]
-    n_hi = arc_count[hi]
+    n_lo = g.arc_count[lo]
+    n_hi = g.arc_count[hi]
+    lo_edge = _SINGLE_EDGE[n_lo]
+    hi_edge = _SINGLE_EDGE[n_hi]
+    # Every slot is combined, but only those of orientations both endpoints
+    # have are searched; the others stay -1 in the memo.
     cells = [(ai * 2 + bi, ai, bi) for ai in range(n_lo) for bi in range(n_hi)]
     arrays: list[list] = [[], [], [], []]
     ap0, ap1, ap2, ap3 = (a.append for a in arrays)
-    unrolled = n_lo == 2 and n_hi == 2
     child_depth = depth + 1
 
     for S1, y, T in cands:
         if y == lo:
-            # Left half degenerates to the single edge lo; the candidate's
-            # value is the right half's, pivot orientation locked to ai.
-            rkey = (T * m + lo) * m + hi
+            lf = lo_edge
+        else:
+            lkey = (S1 * m + lo) * m + y
+            lf = memo.get(lkey)
+            if lf is None:
+                _solve_state(ctx, S1, lo, y, child_depth)
+                lf = memo[lkey]
+        if y == hi:
+            rf = hi_edge
+        else:
+            rkey = (T * m + y) * m + hi
             rf = memo.get(rkey)
             if rf is None:
-                _solve_state(ctx, T, lo, hi, child_depth)
+                _solve_state(ctx, T, y, hi, child_depth)
                 rf = memo[rkey]
-            if unrolled:
-                ap0(rf[0]); ap1(rf[1]); ap2(rf[2]); ap3(rf[3])
-            else:
-                for ci, ai, bi in cells:
-                    arrays[ci].append(rf[ai * 2 + bi])
-            continue
-        lkey = (S1 * m + lo) * m + y
-        lf = memo.get(lkey)
-        if lf is None:
-            _solve_state(ctx, S1, lo, y, child_depth)
-            lf = memo[lkey]
-        if y == hi:
-            # Right half degenerates to the single edge hi.
-            if unrolled:
-                ap0(lf[0]); ap1(lf[1]); ap2(lf[2]); ap3(lf[3])
-            else:
-                for ci, ai, bi in cells:
-                    arrays[ci].append(lf[ai * 2 + bi])
-            continue
-        rkey = (T * m + y) * m + hi
-        rf = memo.get(rkey)
-        if rf is None:
-            _solve_state(ctx, T, y, hi, child_depth)
-            rf = memo[rkey]
-        if unrolled:
-            lf0, lf1, lf2, lf3 = lf
-            rf0, rf1, rf2, rf3 = rf
-            two = arc_count[y] == 2
-            v = lf0 + rf0 - 1 if lf0 > 0 and rf0 > 0 else -1
-            if two and lf1 > 0 and rf2 > 0:
-                w = lf1 + rf2 - 1
-                if w > v:
-                    v = w
-            ap0(v)
-            v = lf0 + rf1 - 1 if lf0 > 0 and rf1 > 0 else -1
-            if two and lf1 > 0 and rf3 > 0:
-                w = lf1 + rf3 - 1
-                if w > v:
-                    v = w
-            ap1(v)
-            v = lf2 + rf0 - 1 if lf2 > 0 and rf0 > 0 else -1
-            if two and lf3 > 0 and rf2 > 0:
-                w = lf3 + rf2 - 1
-                if w > v:
-                    v = w
-            ap2(v)
-            v = lf2 + rf1 - 1 if lf2 > 0 and rf1 > 0 else -1
-            if two and lf3 > 0 and rf3 > 0:
-                w = lf3 + rf3 - 1
-                if w > v:
-                    v = w
-            ap3(v)
-        else:
-            n_y = arc_count[y]
-            for ci, ai, bi in cells:
-                lv = lf[ai * 2]
-                rv = rf[bi]
-                best = lv + rv - 1 if lv > 0 and rv > 0 else -1
-                if n_y == 2:
-                    lv = lf[ai * 2 + 1]
-                    rv = rf[2 + bi]
-                    if lv > 0 and rv > 0:
-                        alt = lv + rv - 1
-                        if alt > best:
-                            best = alt
-                arrays[ci].append(best)
+        # Slot (ai, bi) pairs lf[ai, c] with rf[c, bi] over the pivot
+        # orientations c; a -1 on either side rules the pairing out.
+        lf0, lf1, lf2, lf3 = lf
+        rf0, rf1, rf2, rf3 = rf
+        v = lf0 + rf0 - 1 if lf0 > 0 and rf0 > 0 else -1
+        if lf1 > 0 and rf2 > 0:
+            w = lf1 + rf2 - 1
+            if w > v:
+                v = w
+        ap0(v)
+        v = lf0 + rf1 - 1 if lf0 > 0 and rf1 > 0 else -1
+        if lf1 > 0 and rf3 > 0:
+            w = lf1 + rf3 - 1
+            if w > v:
+                v = w
+        ap1(v)
+        v = lf2 + rf0 - 1 if lf2 > 0 and rf0 > 0 else -1
+        if lf3 > 0 and rf2 > 0:
+            w = lf3 + rf2 - 1
+            if w > v:
+                v = w
+        ap2(v)
+        v = lf2 + rf1 - 1 if lf2 > 0 and rf1 > 0 else -1
+        if lf3 > 0 and rf3 > 0:
+            w = lf3 + rf3 - 1
+            if w > v:
+                v = w
+        ap3(v)
 
     vals4: list = [-1, -1, -1, -1]
     splits4: list = [None, None, None, None]
@@ -276,7 +259,7 @@ def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
 
     key = (S * m + lo) * m + hi
     memo[key] = tuple(vals4)
-    memo[(S * m + hi) * m + lo] = _transpose_cells(vals4, n_lo, n_hi)
+    memo[(S * m + hi) * m + lo] = _transpose_cells(vals4, n_lo - 1, n_hi - 1)
     ctx.table.splits[key] = tuple(splits4)
 
 
@@ -295,18 +278,13 @@ def _split_record(
     m = g.edge_count
     memo = ctx.table.cells
     S1, y, T = cand
-    if y == lo or y == hi:
-        half = memo[(T * m + lo) * m + hi] if y == lo else memo[(S1 * m + lo) * m + hi]
-        if half[ai * 2 + bi] == target:
-            return S1, (2 * lo + ai if y == lo else 2 * hi + bi)
-    else:
-        lf = memo[(S1 * m + lo) * m + y]
-        rf = memo[(T * m + y) * m + hi]
-        for gi in range(g.arc_count[y]):
-            lv = lf[ai * 2 + gi]
-            rv = rf[gi * 2 + bi]
-            if lv > 0 and rv > 0 and lv + rv - 1 == target:
-                return S1, 2 * y + gi
+    lf = _SINGLE_EDGE[g.arc_count[y]] if y == lo else memo[(S1 * m + lo) * m + y]
+    rf = _SINGLE_EDGE[g.arc_count[y]] if y == hi else memo[(T * m + y) * m + hi]
+    for c in (0, 1):
+        lv = lf[ai * 2 + c]
+        rv = rf[c * 2 + bi]
+        if lv > 0 and rv > 0 and lv + rv - 1 == target:
+            return S1, 2 * y + c
     raise AssertionError("winning candidate no longer reproduces its value")
 
 

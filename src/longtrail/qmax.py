@@ -45,10 +45,6 @@ class QueryLedger:
     def total(self) -> int:
         return sum(self.per_level.values())
 
-    def merge(self, other: "QueryLedger") -> None:
-        for key, count in other.per_level.items():
-            self.per_level[key] = self.per_level.get(key, 0) + count
-
     def as_dict(self) -> dict:
         return {"total": self.total, "per_level": dict(sorted(self.per_level.items()))}
 
@@ -104,8 +100,7 @@ def _stage_costs(N: int) -> list[int]:
     """Charged cost of one stage for every possible t, indexed by t."""
     table = _COST_TABLES.get(N)
     if table is None:
-        quarter_pi_rootn = math.pi / 4.0 * math.sqrt(N)
-        table = [0] + [math.ceil(quarter_pi_rootn / math.sqrt(t)) for t in range(1, N + 1)]
+        table = [0] + [grover_stage_cost(N, t) for t in range(1, N + 1)]
         _COST_TABLES[N] = table
     return table
 

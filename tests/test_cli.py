@@ -4,6 +4,9 @@ import pytest
 
 from longtrail import cli
 from longtrail.cli import main
+from longtrail.dp import full_dp_longest_trail
+from longtrail.hybrid import SolveResult
+from longtrail.qmax import QueryLedger
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n2 0\n"
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -12,6 +15,21 @@ REPORT_KEYS = {
     "engine", "n", "m", "length", "trail", "queries", "seed", "alpha",
     "mode", "wall_ms",
 }
+
+
+ROW_KEYS = {"instance", "n", "m", "lengths", "ok"}
+
+
+class LowBound:
+    """Stands in for ParityBound with a bound one below a full Euler trail."""
+
+    def __init__(self, g):
+        self.whole = g.edge_count - 1
+
+
+def dp_backed_hybrid(g, cfg):
+    res = full_dp_longest_trail(g)
+    return SolveResult(res.length, res.trail, QueryLedger(), 0)
 
 
 def run_cli(capsys, *argv):
@@ -122,16 +140,37 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["ok"]
 
-        class LowBound:
-            def __init__(self, g):
-                self.whole = g.edge_count - 1
-
         monkeypatch.setattr(cli, "ParityBound", LowBound)
         code, out, err = run_cli(capsys, "verify", str(path))
         payload = json.loads(out)
         assert code == 1 and not payload["ok"] and payload["agreed"] == 0
-        assert set(payload["results"][0]) == {"instance", "n", "m", "lengths", "ok"}
+        assert set(payload["results"][0]) == ROW_KEYS
         assert payload["results"][0]["lengths"] == {"oracle": 3, "dp": 3, "hybrid-det": 3}
+        assert "MISMATCH" in err
+
+    # Past the oracle's m <= 14 ceiling: the DP runs for real, and the
+    # hybrid is a DP-backed stub because a real hybrid-det solve at m = 16
+    # takes minutes.  random_graph(5, 16, 1) has an Euler trail of all 16
+    # edges, so its parity bound is tight.
+    def test_past_the_oracle_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_hybrid", dp_backed_hybrid)
+        code, out, err = run_cli(capsys, "verify", "--random", "1", "5", "16", "1")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] and payload["agreed"] == 1
+        assert set(payload["results"][0]) == ROW_KEYS
+        assert payload["results"][0]["lengths"] == {"dp": 16, "hybrid-det": 16}
+        assert "1/1 agree" in err
+
+    def test_past_the_oracle_ceiling_above_the_parity_bound_fails(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "solve_hybrid", dp_backed_hybrid)
+        monkeypatch.setattr(cli, "ParityBound", LowBound)
+        code, out, err = run_cli(capsys, "verify", "--random", "1", "5", "16", "1")
+        payload = json.loads(out)
+        assert code == 1 and not payload["ok"] and payload["agreed"] == 0
+        assert set(payload["results"][0]) == ROW_KEYS
+        assert payload["results"][0]["lengths"] == {"dp": 16, "hybrid-det": 16}
         assert "MISMATCH" in err
 
     def test_requires_one_source(self, capsys):

@@ -11,8 +11,6 @@ from longtrail.graphs import (
     Graph,
     GraphFormatError,
     ParityBound,
-    edge_set,
-    incident_edges,
     parse_graph,
     random_graph,
     serialize_graph,
@@ -20,7 +18,6 @@ from longtrail.graphs import (
 )
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
-PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 DISJOINT = Graph(4, ((0, 1), (2, 3)))
 
 
@@ -97,30 +94,6 @@ class TestParse:
 
 
 class TestIncidence:
-    def test_triangle(self):
-        assert incident_edges(TRIANGLE, 0) == edge_set([1, 2])
-
-    def test_path(self):
-        assert incident_edges(PATH3, 0) == edge_set([1])
-
-    def test_disjoint(self):
-        assert incident_edges(DISJOINT, 0) == 0
-
-    def test_self_loop_touches_everything_at_vertex(self):
-        g = Graph(2, ((0, 0), (0, 1), (1, 1)))
-        assert incident_edges(g, 0) == edge_set([1])
-        assert incident_edges(g, 1) == edge_set([0, 2])
-
-    @settings(max_examples=60)
-    @given(graphs_strategy)
-    def test_symmetry(self, g):
-        for e in range(g.edge_count):
-            for f in range(g.edge_count):
-                if e != f:
-                    assert bool(incident_edges(g, e) >> f & 1) == bool(
-                        incident_edges(g, f) >> e & 1
-                    )
-
     @settings(max_examples=60)
     @given(graphs_strategy)
     def test_arcs_before_end_at_the_tail(self, g):

@@ -19,6 +19,9 @@ from longtrail.hybrid import (
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
+LOOPS_7 = random_graph(2, 9, 3)
+LOOPS_5 = random_graph(3, 9, 5)
+
 DET = HybridConfig(mode="deterministic")
 
 
@@ -160,20 +163,48 @@ class TestSolveRecursive:
         assert validate_trail(TRIANGLE, trail).ok
         assert trail[0] == 0 and trail[-1] == 2
 
+    # The two loop-heavy graphs (7 and 5 loops) drive loop endpoints, loop
+    # pivots and single-loop halves through the combine.  The inputs are
+    # looped over rather than parametrized to keep the test's id.
     def test_equals_table_values_everywhere(self):
-        g = random_graph(5, 9, 14)
-        ctx = SolveContext.create(g, DET)
-        table = DpTable(g)
-        S = g.full_edge_set
-        for v in range(9):
-            for u in range(9):
-                val, wit = solve_recursive(ctx, S, v, u)
-                assert val == get_len(g, S, v, u, table), (v, u)
-                if val is not None and v != u:
-                    trail = reconstruct_from_witness(wit, ctx.table)
-                    assert len(trail) == val
-                    assert trail[0] == v and trail[-1] == u
-                    assert validate_trail(g, trail).ok
+        for g in (random_graph(5, 9, 14), LOOPS_7, LOOPS_5):
+            ctx = SolveContext.create(g, DET)
+            table = DpTable(g)
+            S = g.full_edge_set
+            for v in range(9):
+                for u in range(9):
+                    val, wit = solve_recursive(ctx, S, v, u)
+                    assert val == get_len(g, S, v, u, table), (g, v, u)
+                    if val is not None and v != u:
+                        trail = reconstruct_from_witness(wit, ctx.table)
+                        assert len(trail) == val
+                        assert trail[0] == v and trail[-1] == u
+                        assert validate_trail(g, trail).ok
+
+
+class TestPaddingContract:
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("g", [LOOPS_7, LOOPS_5], ids=["loops7", "loops5"])
+    def test_missing_orientations_hold_minus_one(self, g, mode):
+        # Every memo cell, on the layer and above it, in both endpoint
+        # orders, holds -1 in each slot of an orientation a loop lacks.
+        m = g.edge_count
+        ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
+        for v in range(m):
+            for u in range(m):
+                solve_recursive(ctx, g.full_edge_set, v, u)
+        cells = ctx.table.cells
+        above_layer = set()
+        for key, cell in cells.items():
+            rest, u = divmod(key, m)
+            S, v = divmod(rest, m)
+            assert (S * m + u) * m + v in cells
+            above_layer.add(S.bit_count() > ctx.k_pre)
+            if g.arc_count[v] == 1:
+                assert cell[2] == cell[3] == -1, (S, v, u, cell)
+            if g.arc_count[u] == 1:
+                assert cell[1] == cell[3] == -1, (S, v, u, cell)
+        assert above_layer == {False, True}
 
 
 class TestWitnessReconstruction:

@@ -205,12 +205,6 @@ class TestLedger:
         assert led.per_level == {"level0": 7, "level1": 7}
         assert led.total == 14
 
-    def test_merge(self):
-        a = QueryLedger({"level0": 3})
-        b = QueryLedger({"level0": 4, "level1": 1})
-        a.merge(b)
-        assert a.per_level == {"level0": 7, "level1": 1}
-
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             QueryLedger().charge(0, -1)
