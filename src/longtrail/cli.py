@@ -8,8 +8,7 @@ seed (default 0) so published numbers reproduce bit-for-bit, wall time aside.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
 import json
 import sys
 import time
@@ -38,8 +37,9 @@ _MODES = {"det": MODE_DETERMINISTIC, "stoch": MODE_STOCHASTIC}
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # Rendered whole first: a value json cannot encode must not leave half a
+    # document on stdout.
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _info(msg: str) -> None:
@@ -49,10 +49,6 @@ def _info(msg: str) -> None:
 def _load_graph(path: str) -> Graph:
     with open(path, "rb") as fh:
         return parse_graph(fh.read())
-
-
-def _bench_vertices(m: int) -> int:
-    return max(2, m // 2 + 1)
 
 
 def _run_report(
@@ -137,6 +133,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.random:
         count, n, m, seed = args.random
+        if count < 1:
+            raise ValueError(f"verify --random needs COUNT >= 1, got {count}")
         instances = [random_graph(n, m, seed + i) for i in range(count)]
     else:
         instances = [_load_graph(args.input)]
@@ -177,81 +175,7 @@ def cmd_verify(args) -> int:
 
 def cmd_costs(args) -> int:
     report = theoretical_costs(args.m, args.alpha)
-    _emit(report.as_dict())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    if not sizes or args.runs < 1:
-        raise ValueError("bench needs at least one size and one run")
-    rows = []
-    for m in sizes:
-        n = _bench_vertices(m)
-        for run in range(args.runs):
-            seed = args.seed + run
-            g = random_graph(n, m, seed)
-            truth = full_dp_longest_trail(g).length
-            cfg = HybridConfig(
-                alpha=args.alpha,
-                mode=_MODES[args.mode],
-                repeats_per_level=args.repeats,
-                seed=seed,
-                budget_constant=args.budget_constant,
-            )
-            t0 = time.perf_counter()
-            out = solve_hybrid(g, cfg)
-            wall = (time.perf_counter() - t0) * 1000.0
-            rows.append({
-                "m": m,
-                "seed": seed,
-                "n": n,
-                "length": out.length,
-                "dp_length": truth,
-                "success": out.length == truth,
-                "queries_total": out.ledger.total,
-                "per_level": dict(sorted(out.ledger.per_level.items())),
-                "wall_ms": wall,
-            })
-            _info(f"m={m} seed={seed}: hybrid={out.length} dp={truth} "
-                  f"queries={out.ledger.total} {wall:.0f}ms")
-    rows.sort(key=lambda r: (r["m"], r["seed"]))
-    aggregates = []
-    for m in sizes:
-        sub = [r for r in rows if r["m"] == m]
-        qs = [r["queries_total"] for r in sub]
-        aggregates.append({
-            "m": m,
-            "runs": len(sub),
-            "success_rate": sum(r["success"] for r in sub) / len(sub),
-            "queries_mean": sum(qs) / len(qs),
-            "queries_min": min(qs),
-            "queries_max": max(qs),
-            "wall_ms_mean": sum(r["wall_ms"] for r in sub) / len(sub),
-        })
-    payload = {"mode": args.mode, "runs": args.runs, "sizes": sizes,
-               "rows": rows, "aggregates": aggregates}
-    if args.format == "csv":
-        buf = io.StringIO()
-        fields = ["m", "seed", "n", "length", "dp_length", "success",
-                  "queries_total", "wall_ms"]
-        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            _emit(payload)
+    _emit(dataclasses.asdict(report))
     return 0
 
 
@@ -293,18 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.055)
     p.set_defaults(func=cmd_costs)
-
-    p = sub.add_parser("bench", help="benchmark hybrid runs against dp truth")
-    p.add_argument("--sizes", required=True, help="comma-separated edge counts")
-    p.add_argument("--runs", type=int, required=True, help="seeds per size")
-    p.add_argument("--mode", choices=["det", "stoch"], default="stoch")
-    p.add_argument("--alpha", type=float, default=0.055)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--budget-constant", type=float, default=23.0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

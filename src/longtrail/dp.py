@@ -110,10 +110,12 @@ class DpTable:
     under both endpoint orders.
 
     `splits` holds, for each state above the layer keyed with v < u, a
-    4-slot tuple of split records (S', pivot arc), or None where the cell
-    has no walk: the left half of the cell's walk is the state (S', first
-    arc, pivot arc) and the right half ((S \\ S') | {pivot edge}, pivot arc,
-    last arc).
+    4-slot tuple of ints: the index of each cell's winning split candidate
+    (S', y) in the hybrid's candidate list for S, or -1 where the cell has
+    no walk.  The left half of the cell's walk is the state (S', first arc,
+    pivot arc) and the right half ((S \\ S') | {y}, pivot arc, last arc),
+    where the pivot arc is the orientation of y under which the halves add
+    up to the cell's value; the rebuild works it out.
     """
 
     def __init__(self, g: Graph, k_pre: int = 0):
@@ -122,7 +124,7 @@ class DpTable:
         self._A = max(2 * g.edge_count, 1)
         self.entries: dict[int, tuple[int | None, int | None]] = {}
         self.cells: dict[int, tuple[int, int, int, int]] = {}
-        self.splits: dict[int, tuple] = {}
+        self.splits: dict[int, tuple[int, int, int, int]] = {}
 
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b

@@ -10,10 +10,12 @@ pivot.  Sharing the pivot *arc* between the halves is what keeps the
 concatenation walkable.  The recursion bottoms out in table lookups once
 |S| <= k_pre.
 
-Each maximization runs through the query-counting qmax simulators: exhaustive
-scans in deterministic mode (results provably equal to the full DP), boosted
-bounded-error threshold searches in stochastic mode.  Charges land in a
-QueryLedger keyed by recursion depth.
+Each maximization runs through one query-counting qmax search, bound once
+per run: `qmax._exhaustive` in deterministic mode (results provably equal to
+the full DP), `qmax._boosted` bounded-error threshold searches on the seeded
+stream in stochastic mode.  Either returns (value, index, charged); a state's
+charges, summed over its cells, land in a QueryLedger keyed by recursion
+depth.
 
 States are solved once per run and memoized.  In stochastic mode this
 means repeated references to a sub-state share one realization instead of
@@ -35,10 +37,13 @@ pairs only with itself.  So every candidate goes through one 4-slot combine,
 max over c of left[a, c] + right[c, b] - 1, and only the slots of
 orientations both endpoints have are searched and charged.
 
-For every solved cell above the layer, `DpTable.splits` keeps one
-record (S', pivot arc) of the winning candidate.  A witness is a state
-triple (S, first arc, last arc); its walk is rebuilt by chaining the split
-records down to the layer, where the DP's predecessor arcs take over.
+For every solved cell above the layer, `DpTable.splits` keeps the index the
+search returned: the winning candidate's position in the state's candidate
+list.  A witness is a state triple (S, first arc, last arc); its walk is
+rebuilt by chaining down to the layer, where the DP's predecessor arcs take
+over.  Only the split states on that chain regenerate their candidates, and
+there the pivot orientation is found: the first whose halves reproduce the
+cell's value.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import Optional
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, validate_trail
-from .qmax import QueryLedger, _boosted
+from .qmax import QueryLedger, _boosted, _exhaustive
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -92,21 +97,30 @@ class SolveResult:
 
 
 class SolveContext:
-    """Per-run solver state: the table with its state memo, stream, ledger."""
+    """Per-run solver state: the table with its state memo, the ledger, and
+    the one search every maximization runs through, values -> (value, index,
+    charged): the exhaustive scan, or boosted trajectories on the seeded
+    stream."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
-        self.cfg = cfg
         self.table = table
         self.k_pre = table.k_pre
-        self.stochastic = cfg.mode == MODE_STOCHASTIC
-        self.repeats = (
-            cfg.repeats_per_level
-            if cfg.repeats_per_level is not None
-            else max(1, 2 * g.edge_count)
-        )
-        self.rng = random.Random(cfg.seed)
         self.ledger = QueryLedger()
+        self.search = _exhaustive
+        if cfg.mode == MODE_STOCHASTIC:
+            repeats = (
+                cfg.repeats_per_level
+                if cfg.repeats_per_level is not None
+                else max(1, 2 * g.edge_count)
+            )
+            rnd = random.Random(cfg.seed).random
+            bconst = cfg.budget_constant
+
+            def search(values: list) -> tuple:
+                return _boosted(values, repeats, rnd, bconst)
+
+            self.search = search
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -170,7 +184,7 @@ def _transpose_cells(cells: tuple, flip_first: int, flip_second: int) -> tuple:
 
 def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
     """Solve the state (S, v, u) above the layer: memoize its cells under
-    both endpoint orders and a split record for each cell with a walk."""
+    both endpoint orders and, per cell, the index of its winning candidate."""
     lo, hi = (v, u) if v < u else (u, v)
     g = ctx.graph
     m = g.edge_count
@@ -184,7 +198,7 @@ def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
     hi_edge = _SINGLE_EDGE[n_hi]
     # Every slot is combined, but only those of orientations both endpoints
     # have are searched; the others stay -1 in the memo.
-    cells = [(ai * 2 + bi, ai, bi) for ai in range(n_lo) for bi in range(n_hi)]
+    slots = [ai * 2 + bi for ai in range(n_lo) for bi in range(n_hi)]
     arrays: list[list] = [[], [], [], []]
     ap0, ap1, ap2, ap3 = (a.append for a in arrays)
     child_depth = depth + 1
@@ -235,57 +249,22 @@ def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
                 v = w
         ap3(v)
 
-    vals4: list = [-1, -1, -1, -1]
-    splits4: list = [None, None, None, None]
-    ledger = ctx.ledger
-    if ctx.stochastic:
-        rnd = ctx.rng.random
-        repeats = ctx.repeats
-        bconst = ctx.cfg.budget_constant
-        for ci, ai, bi in cells:
-            val, idx, charged = _boosted(arrays[ci], repeats, rnd, bconst)
-            ledger.charge(depth, charged)
-            if val >= 0:
-                vals4[ci] = val
-                splits4[ci] = _split_record(ctx, cands[idx], lo, hi, ai, bi, val)
-    else:
-        for ci, ai, bi in cells:
-            arr = arrays[ci]
-            best = max(arr)
-            ledger.charge(depth, len(arr))
-            if best >= 0:
-                vals4[ci] = best
-                splits4[ci] = _split_record(ctx, cands[arr.index(best)], lo, hi, ai, bi, best)
+    vals4 = [-1, -1, -1, -1]
+    picks = [-1, -1, -1, -1]
+    search = ctx.search
+    total = 0
+    for slot in slots:
+        val, idx, charged = search(arrays[slot])
+        total += charged
+        if val >= 0:
+            vals4[slot] = val
+            picks[slot] = idx
+    ctx.ledger.charge(depth, total)
 
     key = (S * m + lo) * m + hi
     memo[key] = tuple(vals4)
     memo[(S * m + hi) * m + lo] = _transpose_cells(vals4, n_lo - 1, n_hi - 1)
-    ctx.table.splits[key] = tuple(splits4)
-
-
-def _split_record(
-    ctx: SolveContext,
-    cand: tuple[int, int, int],
-    lo: int,
-    hi: int,
-    ai: int,
-    bi: int,
-    target: int,
-) -> tuple[int, int]:
-    """(S', pivot arc) of the winning candidate for cell (ai, bi): the pivot
-    orientation whose halves reproduce the cell's value."""
-    g = ctx.graph
-    m = g.edge_count
-    memo = ctx.table.cells
-    S1, y, T = cand
-    lf = _SINGLE_EDGE[g.arc_count[y]] if y == lo else memo[(S1 * m + lo) * m + y]
-    rf = _SINGLE_EDGE[g.arc_count[y]] if y == hi else memo[(T * m + y) * m + hi]
-    for c in (0, 1):
-        lv = lf[ai * 2 + c]
-        rv = rf[c * 2 + bi]
-        if lv > 0 and rv > 0 and lv + rv - 1 == target:
-            return S1, 2 * y + c
-    raise AssertionError("winning candidate no longer reproduces its value")
+    ctx.table.splits[key] = tuple(picks)
 
 
 def solve_recursive(
@@ -326,13 +305,28 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
         forward = (S, g.reverse_arc(b), g.reverse_arc(a))
         return reconstruct_from_witness(forward, table)[::-1]
     m = g.edge_count
-    S1, pivot_arc = table.splits[(S * m + v) * m + u][(a & 1) * 2 + (b & 1)]
-    pivot = pivot_arc >> 1
-    left = reconstruct_from_witness((S1, a, pivot_arc), table)
-    right = reconstruct_from_witness(((S & ~S1) | (1 << pivot), pivot_arc, b), table)
-    if left[-1] != pivot or right[0] != pivot:
+    key = (S * m + v) * m + u
+    ai, bi = a & 1, b & 1
+    h = _split_size(S.bit_count(), table.k_pre)
+    S1, y, T = _candidates(S, v, u, h)[table.splits[key][ai * 2 + bi]]
+    cells = table.cells
+    target = cells[key][ai * 2 + bi]
+    lf = _SINGLE_EDGE[g.arc_count[y]] if y == v else cells[(S1 * m + v) * m + y]
+    rf = _SINGLE_EDGE[g.arc_count[y]] if y == u else cells[(T * m + y) * m + u]
+    for c in (0, 1):
+        lv, rv = lf[ai * 2 + c], rf[c * 2 + bi]
+        if lv > 0 and rv > 0 and lv + rv - 1 == target:
+            break
+    else:
         raise ValueError(
-            f"inconsistent witness: halves do not share pivot edge {pivot}"
+            f"inconsistent witness: no pivot orientation reproduces L = {target}"
+        )
+    pivot_arc = 2 * y + c
+    left = reconstruct_from_witness((S1, a, pivot_arc), table)
+    right = reconstruct_from_witness((T, pivot_arc, b), table)
+    if left[-1] != y or right[0] != y:
+        raise ValueError(
+            f"inconsistent witness: halves do not share pivot edge {y}"
         )
     return left + right[1:]
 
@@ -425,19 +419,6 @@ class CostReport:
     exponent_classical: float
     exponent_quantum: float
     balance_gap: float
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "alpha": self.alpha,
-            "k_nominal": self.k_nominal,
-            "k_layer": self.k_layer,
-            "classical_count": self.classical_count,
-            "quantum_count": self.quantum_count,
-            "exponent_classical": self.exponent_classical,
-            "exponent_quantum": self.exponent_quantum,
-            "balance_gap": self.balance_gap,
-        }
 
 
 def _log2_binom(x: float, y: float) -> float:

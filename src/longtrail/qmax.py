@@ -82,15 +82,28 @@ def qmax_exhaustive(
     oracle: ValueOracle, ledger: QueryLedger, *, level: int | str = 0
 ) -> QmaxOutcome:
     """Deterministic reference mode: evaluate everything, charge N queries."""
-    values = oracle.values
-    best = None
-    witness = None
-    for i, val in enumerate(values):
-        if val is not None and (best is None or val > best):
-            best = val
-            witness = i
-    ledger.charge(level, oracle.size)
-    return QmaxOutcome(best, witness, oracle.size)
+    val, idx, charged = _exhaustive(_comparable(oracle.values))
+    ledger.charge(level, charged)
+    if val == _NEG_INF:
+        return QmaxOutcome(None, None, charged)
+    return QmaxOutcome(val, idx, charged)
+
+
+def _comparable(values: Sequence) -> Sequence:
+    """The oracle's values as a list of mutually comparable items: numpy
+    arrays become plain ints (which sort faster) and None becomes -inf."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    if None in values:
+        return [_NEG_INF if v is None else v for v in values]
+    return values
+
+
+def _exhaustive(values: Sequence):
+    """Core of the deterministic search, shared by the public entry point and
+    the hybrid solver: (best value, its first index, N queries charged)."""
+    best = max(values)
+    return best, values.index(best), len(values)
 
 
 _COST_TABLES: dict[int, list[int]] = {}
@@ -106,9 +119,9 @@ def _stage_costs(N: int) -> list[int]:
 
 
 def _boosted(values: list, repeats: int, rnd, budget_constant: float):
-    """Hot-path core shared by the public qmax entry points and the hybrid
-    solver: `repeats` threshold-search trajectories over one list of
-    mutually comparable values.
+    """Core of the stochastic search, shared by the public entry points and
+    the hybrid solver: `repeats` threshold-search trajectories over one list
+    of mutually comparable values.
 
     `rnd` is a bound `Random.random` method; repeats consume disjoint
     segments of that stream.  Returns (value, witness_index, charged_total)
@@ -198,11 +211,7 @@ def boosted_qmax(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    values = oracle.values
-    if hasattr(values, "tolist"):  # numpy array: plain ints sort faster
-        values = values.tolist()
-    if None in values:
-        values = [_NEG_INF if v is None else v for v in values]
+    values = _comparable(oracle.values)
     val, idx, charged = _boosted(values, repeats, rng.random, budget_constant)
     ledger.charge(level, charged)
     if val == _NEG_INF:

@@ -177,6 +177,12 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify"])
 
+    def test_zero_random_instances_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--random", "0", "5", "8", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "COUNT" in err
+
 
 class TestCosts:
     def test_m20(self, capsys):
@@ -195,33 +201,9 @@ class TestCosts:
         code, _, err = run_cli(capsys, "costs", "--m", "3")
         assert code == 2 and "error" in err
 
-
-class TestBench:
-    def test_deterministic_mode_always_succeeds(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--sizes", "6,8", "--runs", "2",
-                               "--mode", "det")
-        assert code == 0
-        payload = json.loads(out)
-        assert [a["m"] for a in payload["aggregates"]] == [6, 8]
-        assert all(a["success_rate"] == 1.0 for a in payload["aggregates"])
-        assert all(r["queries_total"] > 0 for r in payload["rows"])
-
-    def test_stochastic_mode(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--sizes", "8", "--runs", "3",
-                               "--mode", "stoch", "--seed", "7")
-        assert code == 0
-        payload = json.loads(out)
-        agg = payload["aggregates"][0]
-        assert agg["runs"] == 3
-        assert 0.0 <= agg["success_rate"] <= 1.0
-        assert agg["queries_min"] <= agg["queries_mean"] <= agg["queries_max"]
-
-    def test_csv_format(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.csv"
-        code, _, _ = run_cli(capsys, "bench", "--sizes", "6", "--runs", "2",
-                             "--mode", "det", "--format", "csv",
-                             "--out", str(out_path))
-        assert code == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[0].startswith("m,seed,n,")
-        assert len(lines) == 3
+    def test_unencodable_report_writes_nothing(self, capsys):
+        # classical_count at m = 20000 has more digits than int -> str allows.
+        code, out, err = run_cli(capsys, "costs", "--m", "20000")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")

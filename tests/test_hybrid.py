@@ -207,6 +207,35 @@ class TestPaddingContract:
         assert above_layer == {False, True}
 
 
+class TestSplitRecords:
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_every_record_rebuilds_its_cell(self, mode):
+        # Each split record is a candidate index; the rebuild derives the
+        # pivot from it.  Every cell with a walk must rebuild to a valid walk
+        # of the cell's length from v to u, and only those cells hold one.
+        for g in (random_graph(5, 9, 14), LOOPS_7, LOOPS_5):
+            m = g.edge_count
+            ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
+            for v in range(m):
+                for u in range(m):
+                    solve_recursive(ctx, g.full_edge_set, v, u)
+            assert ctx.table.splits
+            for key, record in ctx.table.splits.items():
+                rest, u = divmod(key, m)
+                S, v = divmod(rest, m)
+                cell = ctx.table.cells[key]
+                assert len(record) == 4 and all(type(i) is int for i in record)
+                for slot, idx in enumerate(record):
+                    assert (idx >= 0) == (cell[slot] >= 0), (S, v, u, slot)
+                    if idx < 0:
+                        continue
+                    wit = (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
+                    trail = reconstruct_from_witness(wit, ctx.table)
+                    assert validate_trail(g, trail).ok, (S, v, u, slot)
+                    assert len(trail) == cell[slot]
+                    assert trail[0] == v and trail[-1] == u
+
+
 class TestWitnessReconstruction:
     def test_edge(self):
         # Both arcs on one edge: the walk is that edge, whatever S holds.
@@ -232,6 +261,19 @@ class TestWitnessReconstruction:
         _val, wit = solve_recursive(ctx, 0b111, 0, 2)
         monkeypatch.setattr(hybrid, "reconstruct_arc", lambda table, S, a, b: [a >> 1])
         with pytest.raises(ValueError, match="pivot"):
+            reconstruct_from_witness(wit, ctx.table)
+
+    def test_value_no_split_reproduces_detected(self):
+        # A cell value that no pivot orientation of the recorded candidate
+        # adds up to.
+        ctx = SolveContext.create(TRIANGLE, DET)
+        val, wit = solve_recursive(ctx, 0b111, 0, 2)
+        key = (0b111 * 3 + 0) * 3 + 2
+        slot = (wit[1] & 1) * 2 + (wit[2] & 1)
+        cell = list(ctx.table.cells[key])
+        cell[slot] = val + 5
+        ctx.table.cells[key] = tuple(cell)
+        with pytest.raises(ValueError, match="reproduces"):
             reconstruct_from_witness(wit, ctx.table)
 
 

@@ -223,3 +223,5 @@ class TestValueOracle:
             ValueOracle.from_values(arr), random.Random(3), QueryLedger()
         )
         assert out.value == 255
+        out = qmax_exhaustive(ValueOracle.from_values(arr), QueryLedger())
+        assert (out.value, out.witness_index) == (255, int(np.argmax(arr)))
