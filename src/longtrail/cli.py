@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Reports go to standard output as JSON (machine-readable, schema-stable);
-human diagnostics go to standard error.  Every subcommand takes an explicit
-seed (default 0) so published numbers reproduce bit-for-bit, wall time aside.
+human diagnostics go to standard error.  Reports reproduce bit-for-bit, wall
+time aside: `gen` and `solve` take `--seed` (default 0), `verify --random
+COUNT N M SEED` draws instance i from SEED + i, and `verify` on a file and
+`costs` draw nothing.
 """
 
 from __future__ import annotations

@@ -44,10 +44,14 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .bruteforce import OracleResult
-from .graphs import Graph, ParityBound, check_edge_budget, edge_set, validate_trail
+from .graphs import (
+    Graph, ParityBound, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
+)
 
 FULL_DP_MAX_EDGES = 20
 _MISSING = object()
+# Single-edge cells by arc count: slots 0 and, for a non-loop, 3 hold 1.
+_SINGLE_EDGE = {1: b"\x01\x00\x00\x00", 2: b"\x01\x00\x00\x01"}
 
 
 class CapacityError(MemoryError):
@@ -99,23 +103,16 @@ class DpTable:
     state was never swept and is an internal error, so `get_arc` raises
     instead of guessing.
 
-    `cells` is the hybrid solver's state memo, keyed by (S * m + v) * m + u
-    for edges v != u.  Each value is a 4-slot tuple of L(S, arc(v, i),
-    arc(u, j)) at slot i*2 + j, with -1 for "no walk", so the solver's
-    hot path never touches None.  Padding contract: a loop has the single
-    orientation 0, so every slot with i = 1 when v is a loop, or j = 1 when
-    u is a loop, holds -1.  The hybrid's combine relies on this instead of
-    checking arc counts.  `precompute_layer` writes each layer state's cell
-    as it computes the state; the hybrid adds the states above the layer
-    under both endpoint orders.
-
-    `splits` holds, for each state above the layer keyed with v < u, a
-    4-slot tuple of ints: the index of each cell's winning split candidate
-    (S', y) in the hybrid's candidate list for S, or -1 where the cell has
-    no walk.  The left half of the cell's walk is the state (S', first arc,
-    pivot arc) and the right half ((S \\ S') | {y}, pivot arc, last arc),
-    where the pivot arc is the orientation of y under which the halves add
-    up to the cell's value; the rebuild works it out.
+    `rows` is the hybrid's state memo: per edge set S, a list indexed by
+    rank(v) * |S| + rank(u) (e's rank: its position among S's edges) of the
+    cells of (S, v, u): 4 bytes, byte i*2 + j = L(S, arc(v, i), arc(u, j)),
+    0 for "no walk"; None marks a state not solved yet.  The diagonal holds
+    single-edge cells; a last entry holds S.  Padding contract: a loop has
+    only orientation 0, so slots i = 1 of a loop v and j = 1 of a loop u
+    hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
+    hybrid adds the states above.
+    `splits` maps those, keyed (S * m + v) * m + u with v < u, to each cell's
+    winning candidate index in the hybrid's pattern, or -1 with no walk.
     """
 
     def __init__(self, g: Graph, k_pre: int = 0):
@@ -123,7 +120,8 @@ class DpTable:
         self.k_pre = k_pre
         self._A = max(2 * g.edge_count, 1)
         self.entries: dict[int, tuple[int | None, int | None]] = {}
-        self.cells: dict[int, tuple[int, int, int, int]] = {}
+        self.rows: dict[int, list] = {}
+        self._single = [_SINGLE_EDGE[n] for n in g.arc_count]
         self.splits: dict[int, tuple[int, int, int, int]] = {}
 
     def pack(self, S: int, a: int, b: int) -> int:
@@ -131,6 +129,22 @@ class DpTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def row(self, S: int) -> list:
+        """The memo row of S, made with its diagonal on first use."""
+        row = self.rows.get(S)
+        if row is None:
+            size = S.bit_count()
+            row = self.rows[S] = [None] * (size * size) + [S]
+            row[:-1:size + 1] = [self._single[e] for e in bits_of(S)]
+        return row
+
+    def cell(self, S: int, v: int, u: int) -> tuple[int, ...] | None:
+        """The 4 slots of (S, v, u) for edges v, u of S, 0 for "no walk";
+        None if the state is not solved."""
+        row = self.rows.get(S)
+        cell = row and row[rank_in(S, v) * S.bit_count() + rank_in(S, u)]
+        return None if cell is None else tuple(cell)
 
     def get_arc(self, S: int, a: int, b: int) -> int | None:
         ea, eb = a >> 1, b >> 1
@@ -199,7 +213,7 @@ def precompute_layer(
 
     Sweeps each cardinality in deterministic lexicographic order, so the
     table is complete for the whole layer, not only for states the largest
-    sets happen to reach, and writes each state's 4-slot cell as it goes.
+    sets happen to reach, and writes each set's memo row as it goes.
     Singleton states stay implicit (`get_arc` answers them).  Fails fast
     when the projected entry count exceeds the budget.
     """
@@ -215,18 +229,19 @@ def precompute_layer(
             f"budget is {entry_budget}"
         )
     table = DpTable(g, spec.k_pre)
-    cells = table.cells
     for k in range(2, spec.k_pre + 1):
         for combo in combinations(range(m), k):
             S = edge_set(combo)
-            for v, u in permutations(combo, 2):
-                cell = [-1, -1, -1, -1]
+            row = table.rows[S] = [None] * (k * k) + [S]
+            row[:-1:k + 1] = [table._single[v] for v in combo]
+            for (i, v), (j, u) in permutations(enumerate(combo), 2):
+                cell = [0, 0, 0, 0]
                 for ai, a in enumerate(g.arcs_of(v)):
                     for bi, b in enumerate(g.arcs_of(u)):
                         val = get_len_arc(g, S, a, b, table)
                         if val is not None:
                             cell[ai * 2 + bi] = val
-                cells[(S * m + v) * m + u] = tuple(cell)
+                row[i * k + j] = bytes(cell)
     return table
 
 

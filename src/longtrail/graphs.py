@@ -130,6 +130,11 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def rank_in(mask: int, i: int) -> int:
+    """The position of element i among the elements of mask."""
+    return (mask & ((1 << i) - 1)).bit_count()
+
+
 # ---------------------------------------------------------------------------
 # Euler-parity bound
 

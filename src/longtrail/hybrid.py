@@ -10,52 +10,37 @@ pivot.  Sharing the pivot *arc* between the halves is what keeps the
 concatenation walkable.  The recursion bottoms out in table lookups once
 |S| <= k_pre.
 
-Each maximization runs through one query-counting qmax search, bound once
-per run: `qmax._exhaustive` in deterministic mode (results provably equal to
-the full DP), `qmax._boosted` bounded-error threshold searches on the seeded
-stream in stochastic mode.  Either returns (value, index, charged); a state's
-charges, summed over its cells, land in a QueryLedger keyed by recursion
-depth.
+Each maximization runs through one query-counting qmax search bound per
+run: `qmax._exhaustive` in deterministic mode (results provably equal to the
+full DP), `qmax._boosted` threshold searches on the seeded stream in
+stochastic mode.  A state's charges land in a QueryLedger under the depth at
+which it is first reached.  States are solved once per run and memoized in
+`DpTable.rows`, so stochastic references to a state share one realization
+(re-running nested searches per reference is not simulable).
 
-States are solved once per run and memoized.  In stochastic mode this
-means repeated references to a sub-state share one realization instead of
-re-running its search; re-running every nested search per reference, times
-2m boosting per level, would multiply work by millions and is not
-simulable.  Errors stay one-sided and witnesses stay genuine, and a
-state's charges are attributed to the depth at which it is first reached.
-
-One memo holds every state's values: `DpTable.cells`, keyed by (S, v, u),
-maps a state to a 4-slot cell tuple indexed by the arc orientations of the
-two endpoint edges (slot = first*2 + last), so one dict hit serves all
-orientation combinations.  `precompute_layer` fills it for |S| <= k_pre and
-the split recursion adds each state above the layer, under both endpoint
-orders.  "No walk" and "no such orientation" are both written -1: every
-slot of an orientation a loop lacks holds -1 (the `DpTable` padding
-contract).  A half that is the pivot edge alone reads the constant
-single-edge cell (1, -1, -1, 1), or (1, -1, -1, -1) for a loop, so each arc
-pairs only with itself.  So every candidate goes through one 4-slot combine,
-max over c of left[a, c] + right[c, b] - 1, and only the slots of
-orientations both endpoints have are searched and charged.
-
-For every solved cell above the layer, `DpTable.splits` keeps the index the
-search returned: the winning candidate's position in the state's candidate
-list.  A witness is a state triple (S, first arc, last arc); its walk is
-rebuilt by chaining down to the layer, where the DP's predecessor arcs take
-over.  Only the split states on that chain regenerate their candidates, and
-there the pivot orientation is found: the first whose halves reproduce the
-cell's value.
+Candidates depend on S only through |S| and the endpoints' ranks in S, so
+they come from a rank-space pattern (`_pattern`).  A state gathers all its
+candidates' half cells through it, combines them at once as 8-bit lanes of
+Python ints (`_combine`) and hands each searched slot's lanes to the search
+as bytes.  Missing halves are solved first, in candidate order: the
+depth-first order that the per-depth charges and the stochastic stream
+depend on.  A witness (S, first arc, last arc) is rebuilt from
+`DpTable.splits` by chaining down to the layer.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from functools import lru_cache
+from itertools import combinations, islice
+from operator import getitem, itemgetter
+from typing import Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
-from .graphs import Graph, bits_of, check_edge_budget, validate_trail
+from .graphs import Graph, bits_of, check_edge_budget, rank_in, validate_trail
 from .qmax import QueryLedger, _boosted, _exhaustive
 
 HYBRID_DET_MAX_EDGES = 20
@@ -97,27 +82,24 @@ class SolveResult:
 
 
 class SolveContext:
-    """Per-run solver state: the table with its state memo, the ledger, and
-    the one search every maximization runs through, values -> (value, index,
-    charged): the exhaustive scan, or boosted trajectories on the seeded
-    stream."""
+    """Per-run solver state: the table and its memo, the ledger, each solved
+    set's edges and subset rows (`halves`), and the one search every
+    maximization runs, values -> (value, index, charged): the exhaustive
+    scan, or boosted trajectories on the seeded stream."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
         self.table = table
         self.k_pre = table.k_pre
         self.ledger = QueryLedger()
+        self.halves: dict = {}
         self.search = _exhaustive
         if cfg.mode == MODE_STOCHASTIC:
-            repeats = (
-                cfg.repeats_per_level
-                if cfg.repeats_per_level is not None
-                else max(1, 2 * g.edge_count)
-            )
+            repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
             rnd = random.Random(cfg.seed).random
             bconst = cfg.budget_constant
 
-            def search(values: list) -> tuple:
+            def search(values: Sequence) -> tuple:
                 return _boosted(values, repeats, rnd, bconst)
 
             self.search = search
@@ -132,139 +114,140 @@ class SolveContext:
 def _split_size(size: int, k_pre: int) -> int:
     """First-half cardinality: half of |S|, raised onto the table layer when
     halving would undershoot it, and capped so the split stays proper."""
-    h = size >> 1
-    if h < 2:
-        h = 2
-    if h < k_pre:
-        h = k_pre
-    if h > size - 1:
-        h = size - 1
-    return h
+    return min(max(size >> 1, 2, k_pre), size - 1)
 
 
-def _candidates(S: int, lo: int, hi: int, h: int) -> list[tuple[int, int, int]]:
-    """Deterministic candidate enumeration for a split of S.
+def _subsets(S: int, k: int) -> list[int]:
+    """The k-subsets of S as masks, in combinations order of its edges."""
+    return list(map(sum, combinations([1 << p for p in bits_of(S)], k)))
 
-    Yields (S', y, T): S' contains the first edge lo with |S'| = h, pivot
-    y in S', T = (S \\ S') | {y}.  Candidates that strand the last edge hi
-    (hi in S' but y != hi) are excluded up front.
+
+def _build_pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
+    """The split candidates (S', y, T) of a state (S, lo, hi), |S| = size, with
+    lo and hi at ranks rlo < rhi: the index of S' in `_subsets(S, h)`, the
+    slot of (lo, y) in its row, the index of T in `_subsets(S, size - h + 1)`,
+    the slot of (y, hi) in its row, y's rank, as tuples; then both indexes
+    as itemgetters (two or more candidates, so they return tuples).  S' runs
+    over the h-subsets holding lo in combinations order of the other ranks;
+    one holding hi pairs only with y = hi (other pivots strand hi), any
+    other with y = lo and then each other member."""
+    t, full = size - h + 1, (1 << size) - 1
+    left_index = {mask: i for i, mask in enumerate(_subsets(full, h))}
+    right_index = {mask: i for i, mask in enumerate(_subsets(full, t))}
+    bit = [1 << r for r in range(size)]
+    cands = []
+    for combo in combinations([r for r in range(size) if r != rlo], h - 1):
+        S1 = bit[rlo] + sum(map(bit.__getitem__, combo))
+        i, rest = left_index[S1], full ^ S1
+        # A rank's position in S' counts the members below it; in T, the
+        # ranks below it less that.
+        lo_row = (S1 & (bit[rlo] - 1)).bit_count() * h
+        hi_right = rhi - (S1 & (bit[rhi] - 1)).bit_count()
+        for y in (rhi,) if S1 & bit[rhi] else (rlo, *combo):
+            y_left = (S1 & (bit[y] - 1)).bit_count()
+            cands.append((i, lo_row + y_left, right_index[rest | bit[y]],
+                          (y - y_left) * t + hi_right + (y < rhi), y))
+    sidx, lslot, tidx, rslot, prank = zip(*cands)
+    return sidx, lslot, tidx, rslot, prank, itemgetter(*sidx), itemgetter(*tidx)
+
+
+_KEPT = HYBRID_DET_MAX_EDGES // 2 + 1  # the most edges of a set below the full one
+_kept_pattern = lru_cache(maxsize=4096)(_build_pattern)
+
+
+def _pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
+    """`_build_pattern`, kept for the process up to _KEPT edges: the patterns
+    that recur across states and solves.  A larger full set's serve one state."""
+    return (_kept_pattern if size <= _KEPT else _build_pattern)(size, h, rlo, rhi)
+
+
+@lru_cache(maxsize=64)
+def _lane_masks(n: int) -> tuple[int, ...]:
+    """`_combine`'s masks over n bytes: 0x80 and 0x7F in every lane, then the
+    lanes of slots 0 and 2, and of slots 0 and 1, in every cell."""
+    cells = int.from_bytes(b"\x01\x00\x00\x00" * (n >> 2), "little")
+    return cells * 0x80808080, cells * 0x7F7F7F7F, cells * 0xFF00FF, cells * 0xFFFF
+
+
+def _combine(left: bytes, right: bytes, slots: list[int]) -> list[bytes]:
+    """Per output slot a*2 + b, the byte per candidate max over the pivot
+    orientation c of left[a, c] + right[c, b] - 1, or 0 where no c pairs two
+    walks; `left` and `right` are the candidates' cells end to end.
+
+    SWAR: each side is one little-endian int, one 8-bit lane per slot.  Lanes
+    stay <= 2 * the edge cap <= 0x7F: adds never carry, + 0x7F sets bit 7 iff
+    a lane is nonzero, and (A | 0x80) - B sets it iff A >= B, borrow-free.
     """
-    vbit = 1 << lo
-    positions = [p for p in bits_of(S) if p != lo]
-    out = []
-    for combo in combinations(positions, h - 1):
-        S1 = vbit
-        for p in combo:
-            S1 |= 1 << p
-        rest = S & ~S1
-        if S1 >> hi & 1:
-            out.append((S1, hi, rest | (1 << hi)))
-        else:
-            out.append((S1, lo, rest | vbit))
-            for p in combo:
-                out.append((S1, p, rest | (1 << p)))
-    return out
+    n = len(left)
+    high, lift, even, low = _lane_masks(n)
+    left_int, right_int = int.from_bytes(left, "little"), int.from_bytes(right, "little")
+    pair = []
+    for c in (0, 1):
+        # Into lane a*2 + b: left[a, c] (slots c, 2 + c) and right[c, b].
+        x = (left_int >> 8 * c & even) * 0x101
+        y = (right_int >> 16 * c & low) * 0x10001
+        both = ((x + lift) & (y + lift) & high) >> 7
+        pair.append(((x + y) & both * 0xFF) - both)
+    x, y = pair
+    ge = (((x | high) - y) & high) >> 7
+    lanes = (y ^ ((x ^ y) & ge * 0xFF)).to_bytes(n, "little")
+    return [lanes[slot::4] for slot in slots]
 
 
-# The cell of a half that is the pivot edge alone, by the edge's arc count:
-# each arc is a walk of length 1 that starts and ends on itself.
-_SINGLE_EDGE = {1: (1, -1, -1, -1), 2: (1, -1, -1, 1)}
-
-
-def _transpose_cells(cells: tuple, flip_first: int, flip_second: int) -> tuple:
-    """Reorder a cell tuple for the reversed endpoint order.  Reversing a
-    walk flips the orientation of each end edge that is not a loop (flip 1);
-    a loop's missing slot is -1 and is never written."""
-    out: list = [-1, -1, -1, -1]
-    for slot, val in enumerate(cells):
-        if val >= 0:
-            out[((slot & 1) ^ flip_second) * 2 + ((slot >> 1) ^ flip_first)] = val
-    return tuple(out)
+# By endpoint arc counts: the slots searched (orientations both have; the rest
+# stay 0) and the reversed cell's slot order (non-loop end edges flip).
+_ORIENT = {
+    (a, b): (
+        [i * 2 + j for i in range(a) for j in range(b)],
+        itemgetter(*(((d & 1) ^ (a - 1)) * 2 + ((d >> 1) ^ (b - 1)) for d in range(4))),
+    )
+    for a in (1, 2)
+    for b in (1, 2)
+}
 
 
 def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
     """Solve the state (S, v, u) above the layer: memoize its cells under
     both endpoint orders and, per cell, the index of its winning candidate."""
     lo, hi = (v, u) if v < u else (u, v)
-    g = ctx.graph
-    m = g.edge_count
-    memo = ctx.table.cells
+    m = ctx.graph.edge_count
     size = S.bit_count()
     h = _split_size(size, ctx.k_pre)
-    cands = _candidates(S, lo, hi, h)
-    n_lo = g.arc_count[lo]
-    n_hi = g.arc_count[hi]
-    lo_edge = _SINGLE_EDGE[n_lo]
-    hi_edge = _SINGLE_EDGE[n_hi]
-    # Every slot is combined, but only those of orientations both endpoints
-    # have are searched; the others stay -1 in the memo.
-    slots = [ai * 2 + bi for ai in range(n_lo) for bi in range(n_hi)]
-    arrays: list[list] = [[], [], [], []]
-    ap0, ap1, ap2, ap3 = (a.append for a in arrays)
-    child_depth = depth + 1
+    rlo, rhi = rank_in(S, lo), rank_in(S, hi)
+    sidx, lslot, tidx, rslot, prank, pick_left, pick_right = _pattern(size, h, rlo, rhi)
+    # S's edges and the rows of its h- and (|S| - h + 1)-subsets, which the
+    # pattern indexes.
+    if S not in ctx.halves:
+        bits = list(bits_of(S))
+        ctx.halves[S] = [bits] + [list(map(ctx.table.row, map(sum, combinations(
+            [1 << p for p in bits], k)))) for k in (h, size - h + 1)]
+    bits, left_rows, right_rows = ctx.halves[S]
+    try:
+        left = b"".join(map(getitem, pick_left(left_rows), lslot))
+        right = b"".join(map(getitem, pick_right(right_rows), rslot))
+    except TypeError:
+        # Solve missing halves in candidate order, left before right: the
+        # order that fixes charged depths and the stochastic stream.
+        for k, y in enumerate(map(bits.__getitem__, prank)):
+            if left_rows[sidx[k]][lslot[k]] is None:  # a row ends with its set
+                _solve_state(ctx, left_rows[sidx[k]][-1], lo, y, depth + 1)
+            if right_rows[tidx[k]][rslot[k]] is None:
+                _solve_state(ctx, right_rows[tidx[k]][-1], y, hi, depth + 1)
+        left = b"".join(map(getitem, pick_left(left_rows), lslot))
+        right = b"".join(map(getitem, pick_right(right_rows), rslot))
 
-    for S1, y, T in cands:
-        if y == lo:
-            lf = lo_edge
-        else:
-            lkey = (S1 * m + lo) * m + y
-            lf = memo.get(lkey)
-            if lf is None:
-                _solve_state(ctx, S1, lo, y, child_depth)
-                lf = memo[lkey]
-        if y == hi:
-            rf = hi_edge
-        else:
-            rkey = (T * m + y) * m + hi
-            rf = memo.get(rkey)
-            if rf is None:
-                _solve_state(ctx, T, y, hi, child_depth)
-                rf = memo[rkey]
-        # Slot (ai, bi) pairs lf[ai, c] with rf[c, bi] over the pivot
-        # orientations c; a -1 on either side rules the pairing out.
-        lf0, lf1, lf2, lf3 = lf
-        rf0, rf1, rf2, rf3 = rf
-        v = lf0 + rf0 - 1 if lf0 > 0 and rf0 > 0 else -1
-        if lf1 > 0 and rf2 > 0:
-            w = lf1 + rf2 - 1
-            if w > v:
-                v = w
-        ap0(v)
-        v = lf0 + rf1 - 1 if lf0 > 0 and rf1 > 0 else -1
-        if lf1 > 0 and rf3 > 0:
-            w = lf1 + rf3 - 1
-            if w > v:
-                v = w
-        ap1(v)
-        v = lf2 + rf0 - 1 if lf2 > 0 and rf0 > 0 else -1
-        if lf3 > 0 and rf2 > 0:
-            w = lf3 + rf2 - 1
-            if w > v:
-                v = w
-        ap2(v)
-        v = lf2 + rf1 - 1 if lf2 > 0 and rf1 > 0 else -1
-        if lf3 > 0 and rf3 > 0:
-            w = lf3 + rf3 - 1
-            if w > v:
-                v = w
-        ap3(v)
-
-    vals4 = [-1, -1, -1, -1]
-    picks = [-1, -1, -1, -1]
-    search = ctx.search
-    total = 0
-    for slot in slots:
-        val, idx, charged = search(arrays[slot])
+    slots, transpose = _ORIENT[ctx.graph.arc_count[lo], ctx.graph.arc_count[hi]]
+    vals, picks, total = bytearray(4), [-1, -1, -1, -1], 0
+    for slot, values in zip(slots, _combine(left, right, slots)):
+        val, idx, charged = ctx.search(values)
         total += charged
-        if val >= 0:
-            vals4[slot] = val
-            picks[slot] = idx
+        if val:
+            vals[slot], picks[slot] = val, idx
     ctx.ledger.charge(depth, total)
-
-    key = (S * m + lo) * m + hi
-    memo[key] = tuple(vals4)
-    memo[(S * m + hi) * m + lo] = _transpose_cells(vals4, n_lo - 1, n_hi - 1)
-    ctx.table.splits[key] = tuple(picks)
+    row = ctx.table.row(S)
+    row[rlo * size + rhi] = bytes(vals)
+    row[rhi * size + rlo] = bytes(transpose(vals))
+    ctx.table.splits[(S * m + lo) * m + hi] = tuple(picks)
 
 
 def solve_recursive(
@@ -279,17 +262,15 @@ def solve_recursive(
         return None, None
     if v == u:
         return 1, (S, 2 * v, 2 * v)
-    m = ctx.graph.edge_count
-    key = (S * m + v) * m + u
-    cells = ctx.table.cells.get(key)
-    if cells is None:
+    row, idx = ctx.table.row(S), rank_in(S, v) * S.bit_count() + rank_in(S, u)
+    if row[idx] is None:
         _solve_state(ctx, S, v, u, level)
-        cells = ctx.table.cells[key]
-    best = max(cells)
-    if best < 0:
+    cell = row[idx]
+    best = max(cell)
+    if not best:
         return None, None
-    cell = cells.index(best)
-    return best, (S, 2 * v + (cell >> 1), 2 * u + (cell & 1))
+    slot = cell.index(best)
+    return best, (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
 
 
 def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
@@ -299,23 +280,26 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     v, u = a >> 1, b >> 1
     if v == u:
         return [v]
-    if S.bit_count() <= table.k_pre:
+    size = S.bit_count()
+    if size <= table.k_pre:
         return reconstruct_arc(table, S, a, b)
     if v > u:
         forward = (S, g.reverse_arc(b), g.reverse_arc(a))
         return reconstruct_from_witness(forward, table)[::-1]
     m = g.edge_count
-    key = (S * m + v) * m + u
     ai, bi = a & 1, b & 1
-    h = _split_size(S.bit_count(), table.k_pre)
-    S1, y, T = _candidates(S, v, u, h)[table.splits[key][ai * 2 + bi]]
-    cells = table.cells
-    target = cells[key][ai * 2 + bi]
-    lf = _SINGLE_EDGE[g.arc_count[y]] if y == v else cells[(S1 * m + v) * m + y]
-    rf = _SINGLE_EDGE[g.arc_count[y]] if y == u else cells[(T * m + y) * m + u]
+    h = _split_size(size, table.k_pre)
+    k = table.splits[(S * m + v) * m + u][ai * 2 + bi]
+    i, ls, _, rs, r = (col[k] for col in _pattern(size, h, rank_in(S, v), rank_in(S, u))[:5])
+    bits = list(bits_of(S))
+    y = bits[r]
+    S1 = sum(next(islice(combinations([1 << p for p in bits], h), i, None)))
+    T = S & ~S1 | 1 << y
+    target = table.cell(S, v, u)[ai * 2 + bi]
+    lf, rf = table.rows[S1][ls], table.rows[T][rs]
     for c in (0, 1):
         lv, rv = lf[ai * 2 + c], rf[c * 2 + bi]
-        if lv > 0 and rv > 0 and lv + rv - 1 == target:
+        if lv and rv and lv + rv - 1 == target:
             break
     else:
         raise ValueError(
@@ -365,44 +349,37 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
     """Closed-form per-level query counts for a deterministic run.
 
     Walks the same recursion structurally (memoized on states, candidate
-    counts from the enumeration rule) without evaluating any walk lengths, so
-    it predicts exactly what the solver's ledger must report.
+    counts from the candidate patterns) without evaluating any walk lengths,
+    so it predicts exactly what the solver's ledger must report.
     """
     m = g.edge_count
     if m == 0:
         return {}
     k_pre = LayerSpec.for_graph(m, alpha).k_pre
-    arc_count = g.arc_count
-    visited: set[int] = set()
-    per_level: dict[str, int] = {}
+    seen: set[int] = set()
+    per_level: Counter = Counter()
 
-    def visit(S: int, v: int, u: int, depth: int) -> None:
-        lo, hi = (v, u) if v < u else (u, v)
-        key = (S * m + lo) * m + hi
-        if key in visited:
-            return
-        visited.add(key)
+    def visit(S: int, lo: int, hi: int, depth: int) -> None:
+        lo, hi = min(lo, hi), max(lo, hi)
         size = S.bit_count()
+        key = (S * m + lo) * m + hi
+        if size <= k_pre or key in seen:
+            return
+        seen.add(key)
         h = _split_size(size, k_pre)
-        cands = _candidates(S, lo, hi, h)
-        ncells = arc_count[lo] * arc_count[hi]
-        label = f"level{depth}"
-        per_level[label] = per_level.get(label, 0) + ncells * len(cands)
-        left_big = h > k_pre
-        right_big = size - h + 1 > k_pre
-        for S1, y, T in cands:
-            if y != lo and left_big:
-                visit(S1, lo, y, depth + 1)
-            if y != hi and right_big:
-                visit(T, y, hi, depth + 1)
+        sidx, _, tidx, _, prank = _pattern(size, h, rank_in(S, lo), rank_in(S, hi))[:5]
+        per_level[f"level{depth}"] += g.arc_count[lo] * g.arc_count[hi] * len(sidx)
+        bits, lefts, rights = list(bits_of(S)), _subsets(S, h), _subsets(S, size - h + 1)
+        for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
+            if y != lo:
+                visit(lefts[i], lo, y, depth + 1)
+            if y != hi:
+                visit(rights[j], y, hi, depth + 1)
 
-    E = g.full_edge_set
-    if m > k_pre:
-        for v in range(m):
-            for u in range(m):
-                if v != u:
-                    visit(E, v, u, 0)
-    return per_level
+    for v in range(m):
+        for u in range(v + 1, m):
+            visit(g.full_edge_set, v, u, 0)
+    return dict(per_level)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -251,15 +252,20 @@ class TestPrecomputeLayer:
             precompute_layer(random_graph(6, 12, 0), LayerSpec(k_pre=3), entry_budget=10)
 
     def test_matrix_view_consistent(self):
+        # Every cell of every layer row, the single-edge diagonal included,
+        # holds the per-arc memo's values (0 for no walk).
         g = random_graph(5, 8, 77)
-        table = precompute_layer(g, LayerSpec.for_graph(8))
-        for key, cells in table.cells.items():
-            rem, u = divmod(key, 8)
-            S, v = divmod(rem, 8)
-            for ai, a in enumerate(g.arcs_of(v)):
-                for bi, b in enumerate(g.arcs_of(u)):
-                    val = table.get_arc(S, a, b)
-                    assert cells[ai * 2 + bi] == (-1 if val is None else val)
+        spec = LayerSpec.for_graph(8)
+        table = precompute_layer(g, spec)
+        assert len(table.rows) == sum(math.comb(8, k) for k in range(2, spec.k_pre + 1))
+        for S in table.rows:
+            for v in bits_of(S):
+                for u in bits_of(S):
+                    cells = table.cell(S, v, u)
+                    for ai, a in enumerate(g.arcs_of(v)):
+                        for bi, b in enumerate(g.arcs_of(u)):
+                            val = table.get_arc(S, a, b)
+                            assert cells[ai * 2 + bi] == (0 if val is None else val)
 
 
 class TestSplitProperty:

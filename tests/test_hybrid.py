@@ -1,14 +1,28 @@
 import math
 import random
+from itertools import combinations, product
 
 import pytest
 
 from longtrail.dp import DpTable, full_dp_longest_trail, get_len, precompute_layer, LayerSpec
-from longtrail.graphs import Graph, SizeLimitError, random_graph, validate_trail
+from longtrail.graphs import (
+    Graph,
+    SizeLimitError,
+    bits_of,
+    edge_set,
+    random_graph,
+    validate_trail,
+)
 from longtrail import hybrid
 from longtrail.hybrid import (
+    HYBRID_DET_MAX_EDGES,
+    HYBRID_STOCH_MAX_EDGES,
     HybridConfig,
     SolveContext,
+    _pattern,
+    _combine,
+    _split_size,
+    _subsets,
     predict_deterministic_queries,
     reconstruct_from_witness,
     solve_hybrid,
@@ -187,23 +201,28 @@ class TestPaddingContract:
     @pytest.mark.parametrize("g", [LOOPS_7, LOOPS_5], ids=["loops7", "loops5"])
     def test_missing_orientations_hold_minus_one(self, g, mode):
         # Every memo cell, on the layer and above it, in both endpoint
-        # orders, holds -1 in each slot of an orientation a loop lacks.
+        # orders, holds the no-walk value 0 in each slot of an orientation a
+        # loop lacks (the test keeps the id it had when that value was -1).
         m = g.edge_count
         ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
         for v in range(m):
             for u in range(m):
                 solve_recursive(ctx, g.full_edge_set, v, u)
-        cells = ctx.table.cells
+        table = ctx.table
         above_layer = set()
-        for key, cell in cells.items():
-            rest, u = divmod(key, m)
-            S, v = divmod(rest, m)
-            assert (S * m + u) * m + v in cells
-            above_layer.add(S.bit_count() > ctx.k_pre)
-            if g.arc_count[v] == 1:
-                assert cell[2] == cell[3] == -1, (S, v, u, cell)
-            if g.arc_count[u] == 1:
-                assert cell[1] == cell[3] == -1, (S, v, u, cell)
+        for S in table.rows:
+            for v in bits_of(S):
+                for u in bits_of(S):
+                    cell = table.cell(S, v, u)
+                    assert (cell is None) == (table.cell(S, u, v) is None)
+                    if cell is None:
+                        continue
+                    assert len(cell) == 4
+                    above_layer.add(S.bit_count() > ctx.k_pre)
+                    if g.arc_count[v] == 1:
+                        assert cell[2] == cell[3] == 0, (S, v, u, cell)
+                    if g.arc_count[u] == 1:
+                        assert cell[1] == cell[3] == 0, (S, v, u, cell)
         assert above_layer == {False, True}
 
 
@@ -223,10 +242,10 @@ class TestSplitRecords:
             for key, record in ctx.table.splits.items():
                 rest, u = divmod(key, m)
                 S, v = divmod(rest, m)
-                cell = ctx.table.cells[key]
+                cell = ctx.table.cell(S, v, u)
                 assert len(record) == 4 and all(type(i) is int for i in record)
                 for slot, idx in enumerate(record):
-                    assert (idx >= 0) == (cell[slot] >= 0), (S, v, u, slot)
+                    assert (idx >= 0) == (cell[slot] > 0), (S, v, u, slot)
                     if idx < 0:
                         continue
                     wit = (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
@@ -234,6 +253,125 @@ class TestSplitRecords:
                     assert validate_trail(g, trail).ok, (S, v, u, slot)
                     assert len(trail) == cell[slot]
                     assert trail[0] == v and trail[-1] == u
+
+
+def _reference_candidates(S, lo, hi, h):
+    """The split candidates (S', y, T) of the state (S, lo, hi), lo < hi,
+    enumerated directly: S' holds lo and |S'| = h, y is in S', and
+    T = (S \\ S') | {y}.  Candidates that strand hi (hi in S' but y != hi)
+    are left out."""
+    vbit = 1 << lo
+    positions = [p for p in bits_of(S) if p != lo]
+    out = []
+    for combo in combinations(positions, h - 1):
+        S1 = vbit
+        for p in combo:
+            S1 |= 1 << p
+        rest = S & ~S1
+        if S1 >> hi & 1:
+            out.append((S1, hi, rest | (1 << hi)))
+        else:
+            out.append((S1, lo, rest | vbit))
+            for p in combo:
+                out.append((S1, p, rest | (1 << p)))
+    return out
+
+
+def _reached_splits(max_m, alphas):
+    """Every (|S|, h) the split recursion reaches with up to max_m edges."""
+    found = set()
+    for m in range(1, max_m + 1):
+        for alpha in alphas:
+            k_pre = LayerSpec.for_graph(m, alpha).k_pre
+            todo = [m]
+            while todo:
+                size = todo.pop()
+                h = _split_size(size, k_pre)
+                if size > k_pre and (size, h) not in found:
+                    found.add((size, h))
+                    todo += [h, size - h + 1]
+    return found
+
+
+def _rank(S, e):
+    return (S & ((1 << e) - 1)).bit_count()
+
+
+class TestCandidatePattern:
+    def test_patterns_map_onto_the_reference_enumeration(self):
+        # On a set whose edges are spread out, each rank-space pattern must
+        # give the reference's candidates in the reference's order, and
+        # slots that address (lo, y) and (y, hi) in the halves' rows.
+        rnd = random.Random(7)
+        splits = _reached_splits(14, (0.055, 0.3, 0.5, 0.6, 0.9))
+        assert (14, 7) in splits and (5, 3) in splits
+        for size, h in sorted(splits):
+            t = size - h + 1
+            S = (1 << size) - 1
+            while S == (1 << size) - 1 << (S & -S).bit_length() - 1:
+                S = edge_set(rnd.sample(range(2 * size + 1), size))
+            bits = list(bits_of(S))
+            left_sets, right_sets = _subsets(S, h), _subsets(S, t)
+            for rlo in range(size):
+                for rhi in range(rlo + 1, size):
+                    lo, hi = bits[rlo], bits[rhi]
+                    want = _reference_candidates(S, lo, hi, h)
+                    sidx, lslot, tidx, rslot, prank, pick_left, pick_right = _pattern(
+                        size, h, rlo, rhi
+                    )
+                    got = [
+                        (left_sets[i], bits[r], right_sets[j])
+                        for i, r, j in zip(sidx, prank, tidx)
+                    ]
+                    assert got == want, (size, h, rlo, rhi)
+                    assert pick_left(left_sets) == tuple(S1 for S1, _, _ in want)
+                    assert pick_right(right_sets) == tuple(T for _, _, T in want)
+                    for (S1, y, T), ls, rs in zip(want, lslot, rslot):
+                        assert ls == _rank(S1, lo) * h + _rank(S1, y)
+                        assert rs == _rank(T, y) * t + _rank(T, hi)
+
+
+class TestCombine:
+    def test_packed_combine_equals_scalar(self):
+        # The combine adds two cell values in a lane whose bit 7 must stay
+        # clear, and a cell value is at most the edge count.
+        if 2 * max(HYBRID_DET_MAX_EDGES, HYBRID_STOCH_MAX_EDGES) > 0x7F:
+            pytest.fail("hybrid edge caps overflow the combine's 7-bit lanes")
+        # Slot values run over 0 (no walk) and 1..21, shifted per slot so
+        # that every (left[a, c], right[c, b]) meets every pair of values;
+        # each loop pads the slots of the orientation it lacks with 0.
+        pairs = []
+        for p in range(22):
+            for q in range(22):
+                for lo_loop, pivot_loop, hi_loop in product((0, 1), repeat=3):
+                    left = [(p + k) % 22 for k in (0, 5, 11, 17)]
+                    right = [(q + k) % 22 for k in (0, 3, 13, 7)]
+                    if lo_loop:
+                        left[2] = left[3] = 0
+                    if pivot_loop:
+                        left[1] = left[3] = right[2] = right[3] = 0
+                    if hi_loop:
+                        right[1] = right[3] = 0
+                    pairs.append((bytes(left), bytes(right)))
+        for lanes in (1, 7, 200):
+            for start in range(0, len(pairs), lanes):
+                batch = pairs[start:start + lanes]
+                got = _combine(
+                    b"".join(left for left, _ in batch),
+                    b"".join(right for _, right in batch),
+                    [0, 1, 2, 3],
+                )
+                for slot in range(4):
+                    a, b = slot >> 1, slot & 1
+                    want = bytes(
+                        max(
+                            (left[a * 2 + c] + right[c * 2 + b] - 1
+                             for c in (0, 1) if left[a * 2 + c] and right[c * 2 + b]),
+                            default=0,
+                        )
+                        for left, right in batch
+                    )
+                    assert got[slot] == want, (lanes, start, slot)
 
 
 class TestWitnessReconstruction:
@@ -268,11 +406,12 @@ class TestWitnessReconstruction:
         # adds up to.
         ctx = SolveContext.create(TRIANGLE, DET)
         val, wit = solve_recursive(ctx, 0b111, 0, 2)
-        key = (0b111 * 3 + 0) * 3 + 2
         slot = (wit[1] & 1) * 2 + (wit[2] & 1)
-        cell = list(ctx.table.cells[key])
+        cell = bytearray(ctx.table.cell(0b111, 0, 2))
         cell[slot] = val + 5
-        ctx.table.cells[key] = tuple(cell)
+        # Edges 0 and 2 have ranks 0 and 2 in the set of 3.
+        ctx.table.rows[0b111][0 * 3 + 2] = bytes(cell)
+        assert ctx.table.cell(0b111, 0, 2)[slot] == val + 5
         with pytest.raises(ValueError, match="reproduces"):
             reconstruct_from_witness(wit, ctx.table)
 
