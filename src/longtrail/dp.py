@@ -40,6 +40,7 @@ exact, so the trail rebuild and the hybrid's layer are untouched.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -110,9 +111,9 @@ class DpTable:
     single-edge cells; a last entry holds S.  Padding contract: a loop has
     only orientation 0, so slots i = 1 of a loop v and j = 1 of a loop u
     hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
-    hybrid adds the states above.
-    `splits` maps those, keyed (S * m + v) * m + u with v < u, to each cell's
-    winning candidate index in the hybrid's pattern, or -1 with no walk.
+    hybrid adds the states above.  Equal cells are one object (`intern`).
+    `splits[S]` (S above the layer) holds at (rank(v) * |S| + rank(u)) * 4 +
+    slot, v < u, the winning candidate's pattern index; -1: no walk or no solve.
     """
 
     def __init__(self, g: Graph, k_pre: int = 0):
@@ -122,7 +123,12 @@ class DpTable:
         self.entries: dict[int, tuple[int | None, int | None]] = {}
         self.rows: dict[int, list] = {}
         self._single = [_SINGLE_EDGE[n] for n in g.arc_count]
-        self.splits: dict[int, tuple[int, int, int, int]] = {}
+        self._cells: dict[bytes, bytes] = {}
+        self.splits: dict[int, array] = {}
+
+    def intern(self, cell: bytes) -> bytes:
+        """The table's one object equal to `cell`."""
+        return self._cells.setdefault(cell, cell)
 
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b
@@ -131,12 +137,13 @@ class DpTable:
         return len(self.entries)
 
     def row(self, S: int) -> list:
-        """The memo row of S, made with its diagonal on first use."""
+        """The memo row of S (with S's winner array), made on first use."""
         row = self.rows.get(S)
         if row is None:
             size = S.bit_count()
             row = self.rows[S] = [None] * (size * size) + [S]
             row[:-1:size + 1] = [self._single[e] for e in bits_of(S)]
+            self.splits[S] = array("i", [-1]) * (4 * size * size)
         return row
 
     def cell(self, S: int, v: int, u: int) -> tuple[int, ...] | None:
@@ -238,10 +245,8 @@ def precompute_layer(
                 cell = [0, 0, 0, 0]
                 for ai, a in enumerate(g.arcs_of(v)):
                     for bi, b in enumerate(g.arcs_of(u)):
-                        val = get_len_arc(g, S, a, b, table)
-                        if val is not None:
-                            cell[ai * 2 + bi] = val
-                row[i * k + j] = bytes(cell)
+                        cell[ai * 2 + bi] = get_len_arc(g, S, a, b, table) or 0
+                row[i * k + j] = table.intern(bytes(cell))
     return table
 
 

@@ -14,9 +14,9 @@ Each maximization runs through one query-counting qmax search bound per
 run: `qmax._exhaustive` in deterministic mode (results provably equal to the
 full DP), `qmax._boosted` threshold searches on the seeded stream in
 stochastic mode.  A state's charges land in a QueryLedger under the depth at
-which it is first reached.  States are solved once per run and memoized in
-`DpTable.rows`, so stochastic references to a state share one realization
-(re-running nested searches per reference is not simulable).
+which it is first reached.  States are solved once per run and memoized
+(with no object per state, see DpTable), so stochastic references to a state
+share one realization (re-running nested searches per reference is not simulable).
 
 Candidates depend on S only through |S| and the endpoints' ranks in S, so
 they come from a rank-space pattern (`_pattern`).  A state gathers all its
@@ -24,8 +24,8 @@ candidates' half cells through it, combines them at once as 8-bit lanes of
 Python ints (`_combine`) and hands each searched slot's lanes to the search
 as bytes.  Missing halves are solved first, in candidate order: the
 depth-first order that the per-depth charges and the stochastic stream
-depend on.  A witness (S, first arc, last arc) is rebuilt from
-`DpTable.splits` by chaining down to the layer.
+depend on.  A witness (S, first arc, last arc) is rebuilt by chaining down to the
+layer; a winner comes from its kept pattern, or lazily from the patterns' generator.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
-from operator import getitem, itemgetter
+from itertools import combinations, compress, islice, repeat
+from operator import getitem, is_, itemgetter, or_
 from typing import Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
@@ -48,6 +48,7 @@ HYBRID_STOCH_MAX_EDGES = 16
 
 MODE_DETERMINISTIC = "deterministic"
 MODE_STOCHASTIC = "stochastic"
+_LEVELS = tuple(f"level{d}" for d in range(HYBRID_DET_MAX_EDGES))  # ledger keys; depth < m
 
 
 @dataclass(frozen=True)
@@ -122,32 +123,33 @@ def _subsets(S: int, k: int) -> list[int]:
     return list(map(sum, combinations([1 << p for p in bits_of(S)], k)))
 
 
-def _build_pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
-    """The split candidates (S', y, T) of a state (S, lo, hi), |S| = size, with
-    lo and hi at ranks rlo < rhi: the index of S' in `_subsets(S, h)`, the
-    slot of (lo, y) in its row, the index of T in `_subsets(S, size - h + 1)`,
-    the slot of (y, hi) in its row, y's rank, as tuples; then both indexes
-    as itemgetters (two or more candidates, so they return tuples).  S' runs
-    over the h-subsets holding lo in combinations order of the other ranks;
-    one holding hi pairs only with y = hi (other pivots strand hi), any
-    other with y = lo and then each other member."""
-    t, full = size - h + 1, (1 << size) - 1
-    left_index = {mask: i for i, mask in enumerate(_subsets(full, h))}
-    right_index = {mask: i for i, mask in enumerate(_subsets(full, t))}
+def _split_candidates(size: int, h: int, rlo: int, rhi: int):
+    """Split candidates (S', y, T) of (S, lo, hi) in rank space (|S| = size, ends at
+    ranks rlo < rhi): S' as a mask, y, (lo, y)'s slot in S''s row, (y, hi)'s in T's.
+    S' runs over the h-subsets holding lo in combinations order of the other ranks,
+    with y = hi if it holds hi (other pivots strand hi), else y = lo, then the rest."""
+    t = size - h + 1
     bit = [1 << r for r in range(size)]
-    cands = []
     for combo in combinations([r for r in range(size) if r != rlo], h - 1):
         S1 = bit[rlo] + sum(map(bit.__getitem__, combo))
-        i, rest = left_index[S1], full ^ S1
         # A rank's position in S' counts the members below it; in T, the
         # ranks below it less that.
         lo_row = (S1 & (bit[rlo] - 1)).bit_count() * h
         hi_right = rhi - (S1 & (bit[rhi] - 1)).bit_count()
         for y in (rhi,) if S1 & bit[rhi] else (rlo, *combo):
             y_left = (S1 & (bit[y] - 1)).bit_count()
-            cands.append((i, lo_row + y_left, right_index[rest | bit[y]],
-                          (y - y_left) * t + hi_right + (y < rhi), y))
-    sidx, lslot, tidx, rslot, prank = zip(*cands)
+            yield S1, y, lo_row + y_left, (y - y_left) * t + hi_right + (y < rhi)
+
+
+def _build_pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
+    """`_split_candidates` as columns, S' and T as indexes into `_subsets(S, h)` and
+    `_subsets(S, size - h + 1)`; then those two as itemgetters (of >= 2: tuples)."""
+    full = (1 << size) - 1
+    left_index = {mask: i for i, mask in enumerate(_subsets(full, h))}
+    right_index = {mask: i for i, mask in enumerate(_subsets(full, size - h + 1))}
+    sidx, lslot, tidx, rslot, prank = zip(*[
+        (left_index[S1], ls, right_index[full ^ S1 | 1 << y], rs, y)
+        for S1, y, ls, rs in _split_candidates(size, h, rlo, rhi)])
     return sidx, lslot, tidx, rslot, prank, itemgetter(*sidx), itemgetter(*tidx)
 
 
@@ -206,14 +208,13 @@ _ORIENT = {
 }
 
 
-def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
-    """Solve the state (S, v, u) above the layer: memoize its cells under
-    both endpoint orders and, per cell, the index of its winning candidate."""
-    lo, hi = (v, u) if v < u else (u, v)
-    m = ctx.graph.edge_count
+def _solve_state(ctx: SolveContext, row: list, v: int, u: int, rv: int, ru: int, depth: int):
+    """Solve the state (S = row[-1], v, u) above the layer, v and u at ranks rv
+    and ru in S: memoize its cells under both endpoint orders and winners."""
+    lo, hi, rlo, rhi = (v, u, rv, ru) if rv < ru else (u, v, ru, rv)
+    S = row[-1]
     size = S.bit_count()
     h = _split_size(size, ctx.k_pre)
-    rlo, rhi = rank_in(S, lo), rank_in(S, hi)
     sidx, lslot, tidx, rslot, prank, pick_left, pick_right = _pattern(size, h, rlo, rhi)
     # S's edges and the rows of its h- and (|S| - h + 1)-subsets, which the
     # pattern indexes.
@@ -222,32 +223,36 @@ def _solve_state(ctx: SolveContext, S: int, v: int, u: int, depth: int) -> None:
         ctx.halves[S] = [bits] + [list(map(ctx.table.row, map(sum, combinations(
             [1 << p for p in bits], k)))) for k in (h, size - h + 1)]
     bits, left_rows, right_rows = ctx.halves[S]
+    lcells = list(map(getitem, pick_left(left_rows), lslot))
+    rcells = list(map(getitem, pick_right(right_rows), rslot))
     try:
-        left = b"".join(map(getitem, pick_left(left_rows), lslot))
-        right = b"".join(map(getitem, pick_right(right_rows), rslot))
+        left, right = b"".join(lcells), b"".join(rcells)
     except TypeError:
         # Solve missing halves in candidate order, left before right: the
         # order that fixes charged depths and the stochastic stream.
-        for k, y in enumerate(map(bits.__getitem__, prank)):
-            if left_rows[sidx[k]][lslot[k]] is None:  # a row ends with its set
-                _solve_state(ctx, left_rows[sidx[k]][-1], lo, y, depth + 1)
+        missing = map(or_, map(is_, lcells, repeat(None)), map(is_, rcells, repeat(None)))
+        for k in compress(range(len(lcells)), missing):
+            y = bits[prank[k]]
+            if left_rows[sidx[k]][lslot[k]] is None:  # not solved meanwhile
+                _solve_state(ctx, left_rows[sidx[k]], lo, y, *divmod(lslot[k], h), depth + 1)
             if right_rows[tidx[k]][rslot[k]] is None:
-                _solve_state(ctx, right_rows[tidx[k]][-1], y, hi, depth + 1)
+                _solve_state(ctx, right_rows[tidx[k]], y, hi,
+                             *divmod(rslot[k], size - h + 1), depth + 1)
         left = b"".join(map(getitem, pick_left(left_rows), lslot))
         right = b"".join(map(getitem, pick_right(right_rows), rslot))
 
     slots, transpose = _ORIENT[ctx.graph.arc_count[lo], ctx.graph.arc_count[hi]]
-    vals, picks, total = bytearray(4), [-1, -1, -1, -1], 0
+    vals, total = bytearray(4), 0
+    winners, base = ctx.table.splits[S], (rlo * size + rhi) * 4
     for slot, values in zip(slots, _combine(left, right, slots)):
         val, idx, charged = ctx.search(values)
         total += charged
         if val:
-            vals[slot], picks[slot] = val, idx
-    ctx.ledger.charge(depth, total)
-    row = ctx.table.row(S)
-    row[rlo * size + rhi] = bytes(vals)
-    row[rhi * size + rlo] = bytes(transpose(vals))
-    ctx.table.splits[(S * m + lo) * m + hi] = tuple(picks)
+            vals[slot], winners[base + slot] = val, idx
+    charges, key = ctx.ledger.per_level, _LEVELS[depth]
+    charges[key] = charges.get(key, 0) + total
+    row[rlo * size + rhi] = ctx.table.intern(bytes(vals))
+    row[rhi * size + rlo] = ctx.table.intern(bytes(transpose(vals)))
 
 
 def solve_recursive(
@@ -262,9 +267,10 @@ def solve_recursive(
         return None, None
     if v == u:
         return 1, (S, 2 * v, 2 * v)
-    row, idx = ctx.table.row(S), rank_in(S, v) * S.bit_count() + rank_in(S, u)
+    row, rv, ru = ctx.table.row(S), rank_in(S, v), rank_in(S, u)
+    idx = rv * S.bit_count() + ru
     if row[idx] is None:
-        _solve_state(ctx, S, v, u, level)
+        _solve_state(ctx, row, v, u, rv, ru, level)
     cell = row[idx]
     best = max(cell)
     if not best:
@@ -286,14 +292,17 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     if v > u:
         forward = (S, g.reverse_arc(b), g.reverse_arc(a))
         return reconstruct_from_witness(forward, table)[::-1]
-    m = g.edge_count
-    ai, bi = a & 1, b & 1
+    ai, bi, rank_v, rank_u = a & 1, b & 1, rank_in(S, v), rank_in(S, u)
+    k = table.splits[S][(rank_v * size + rank_u) * 4 + ai * 2 + bi]
     h = _split_size(size, table.k_pre)
-    k = table.splits[(S * m + v) * m + u][ai * 2 + bi]
-    i, ls, _, rs, r = (col[k] for col in _pattern(size, h, rank_in(S, v), rank_in(S, u))[:5])
+    if size <= _KEPT:  # the kept pattern's columns; S' unranked in rank space
+        i, ls, _, rs, r = (col[k] for col in _kept_pattern(size, h, rank_v, rank_u)[:5])
+        ranks = sum(next(islice(combinations([1 << p for p in range(size)], h), i, None)))
+    else:  # enumerate lazily, stopping at the winner
+        ranks, r, ls, rs = next(islice(_split_candidates(size, h, rank_v, rank_u), k, None))
     bits = list(bits_of(S))
     y = bits[r]
-    S1 = sum(next(islice(combinations([1 << p for p in bits], h), i, None)))
+    S1 = sum(1 << bits[p] for p in bits_of(ranks))
     T = S & ~S1 | 1 << y
     target = table.cell(S, v, u)[ai * 2 + bi]
     lf, rf = table.rows[S1][ls], table.rows[T][rs]
@@ -353,27 +362,31 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
     so it predicts exactly what the solver's ledger must report.
     """
     m = g.edge_count
-    if m == 0:
+    k_pre = LayerSpec.for_graph(m, alpha).k_pre if m else 0
+    if m <= k_pre:
         return {}
-    k_pre = LayerSpec.for_graph(m, alpha).k_pre
     seen: set[int] = set()
+    subsets: dict[int, tuple] = {}
     per_level: Counter = Counter()
 
     def visit(S: int, lo: int, hi: int, depth: int) -> None:
         lo, hi = min(lo, hi), max(lo, hi)
         size = S.bit_count()
-        key = (S * m + lo) * m + hi
-        if size <= k_pre or key in seen:
-            return
-        seen.add(key)
         h = _split_size(size, k_pre)
         sidx, _, tidx, _, prank = _pattern(size, h, rank_in(S, lo), rank_in(S, hi))[:5]
-        per_level[f"level{depth}"] += g.arc_count[lo] * g.arc_count[hi] * len(sidx)
-        bits, lefts, rights = list(bits_of(S)), _subsets(S, h), _subsets(S, size - h + 1)
+        per_level[_LEVELS[depth]] += g.arc_count[lo] * g.arc_count[hi] * len(sidx)
+        if size - h + 1 <= k_pre:  # then h <= k_pre too: both halves on the layer
+            return
+        if S not in subsets:  # no list of left halves on the layer: none is visited
+            subsets[S] = list(bits_of(S)), h > k_pre and _subsets(S, h), _subsets(S, size - h + 1)
+        bits, lefts, rights = subsets[S]
+        # A state's key is its set and its endpoints' bits, in either order.
         for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
-            if y != lo:
+            if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in seen:
+                seen.add(key)
                 visit(lefts[i], lo, y, depth + 1)
-            if y != hi:
+            if y != hi and (key := rights[j] << m | 1 << y | 1 << hi) not in seen:
+                seen.add(key)
                 visit(rights[j], y, hi, depth + 1)
 
     for v in range(m):

@@ -16,6 +16,7 @@ from longtrail.graphs import (
     serialize_graph,
     validate_trail,
 )
+from longtrail.hybrid import HybridConfig, solve_hybrid
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 DISJOINT = Graph(4, ((0, 1), (2, 3)))
@@ -91,6 +92,26 @@ class TestParse:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert (res.length, res.trail) == (1, (0,))
+
+    def test_hybrid_memo_is_compact(self):
+        # The hybrid's memo holds one interned object per distinct cell and
+        # one winner array per edge set.  A deterministic solve of the golden
+        # m10a instance then peaks at 1.25 MB traced, against 2.31 MB with a
+        # new bytes object per cell and a tuple of winners per state; the
+        # bound sits halfway.  A first solve fills the pattern caches.
+        g = random_graph(8, 10, 4)
+        cfg = HybridConfig(mode="deterministic")
+        solve_hybrid(g, cfg)
+        tracemalloc.start()
+        try:
+            res = solve_hybrid(g, cfg)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if peak > 1_780_000:
+            pytest.fail(f"m10a solve peaked at {peak} traced bytes, bound 1780000")
+        if res.length != 8:
+            pytest.fail(f"m10a solve returned length {res.length}, expected 8")
 
 
 class TestIncidence:

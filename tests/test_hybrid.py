@@ -229,9 +229,10 @@ class TestPaddingContract:
 class TestSplitRecords:
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
     def test_every_record_rebuilds_its_cell(self, mode):
-        # Each split record is a candidate index; the rebuild derives the
-        # pivot from it.  Every cell with a walk must rebuild to a valid walk
-        # of the cell's length from v to u, and only those cells hold one.
+        # Each winner-array entry is a candidate index; the rebuild derives
+        # the pivot from it.  Every cell with a walk must rebuild to a valid
+        # walk of the cell's length from v to u, and only those cells hold
+        # one; entries of states not solved (and of v > u) stay -1.
         for g in (random_graph(5, 9, 14), LOOPS_7, LOOPS_5):
             m = g.edge_count
             ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
@@ -239,20 +240,48 @@ class TestSplitRecords:
                 for u in range(m):
                     solve_recursive(ctx, g.full_edge_set, v, u)
             assert ctx.table.splits
-            for key, record in ctx.table.splits.items():
-                rest, u = divmod(key, m)
-                S, v = divmod(rest, m)
-                cell = ctx.table.cell(S, v, u)
-                assert len(record) == 4 and all(type(i) is int for i in record)
-                for slot, idx in enumerate(record):
-                    assert (idx >= 0) == (cell[slot] > 0), (S, v, u, slot)
-                    if idx < 0:
+            solved = 0
+            for S, winners in ctx.table.splits.items():
+                size = S.bit_count()
+                assert size > ctx.k_pre
+                assert winners.typecode == "i" and len(winners) == 4 * size * size
+                for (rv, v), (ru, u) in product(enumerate(bits_of(S)), repeat=2):
+                    record = winners[(rv * size + ru) * 4:(rv * size + ru + 1) * 4]
+                    cell = ctx.table.cell(S, v, u)
+                    if rv >= ru or cell is None:
+                        assert list(record) == [-1] * 4, (S, v, u)
                         continue
-                    wit = (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
-                    trail = reconstruct_from_witness(wit, ctx.table)
-                    assert validate_trail(g, trail).ok, (S, v, u, slot)
-                    assert len(trail) == cell[slot]
-                    assert trail[0] == v and trail[-1] == u
+                    solved += 1
+                    for slot, idx in enumerate(record):
+                        assert (idx >= 0) == (cell[slot] > 0), (S, v, u, slot)
+                        if idx < 0:
+                            continue
+                        wit = (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
+                        trail = reconstruct_from_witness(wit, ctx.table)
+                        assert validate_trail(g, trail).ok, (S, v, u, slot)
+                        assert len(trail) == cell[slot]
+                        assert trail[0] == v and trail[-1] == u
+            assert solved
+
+
+class TestInterning:
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_equal_cells_are_one_object(self, mode):
+        # On the layer and above it, every row entry equal to another is the
+        # same object.
+        for g in (random_graph(5, 9, 14), LOOPS_7):
+            m = g.edge_count
+            ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
+            for v in range(m):
+                for u in range(m):
+                    solve_recursive(ctx, g.full_edge_set, v, u)
+            first, above_layer = {}, set()
+            for S, row in ctx.table.rows.items():
+                for cell in row[:-1]:
+                    if cell is not None:
+                        assert first.setdefault(cell, cell) is cell, (S, cell)
+                        above_layer.add(S.bit_count() > ctx.k_pre)
+            assert above_layer == {False, True}
 
 
 def _reference_candidates(S, lo, hi, h):
