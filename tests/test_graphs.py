@@ -242,6 +242,29 @@ class TestValidateTrail:
         assert validate_trail(g, [0, 1]).ok
         assert validate_trail(g, [1, 0]).ok
 
+    @pytest.mark.parametrize("edges,trail,reason", [
+        (TRIANGLE.edges, [0, 9], "bad edge index 9 at position 1"),
+        (TRIANGLE.edges, ["x"], "bad edge index 'x' at position 0"),
+        (TRIANGLE.edges, [0, 1, 0], "duplicate edge 0 at position 2"),
+        # Head 1 first breaks at position 3, head 0 at position 1.
+        (((0, 1), (1, 2), (2, 3), (0, 4)), [0, 1, 2, 3],
+         "edges 2 and 3 do not attach at the walk head (position 3)"),
+        # Head 1 first breaks at position 1, head 0 at position 3.
+        (((0, 1), (0, 2), (2, 3), (1, 4)), [0, 1, 2, 3],
+         "edges 2 and 3 do not attach at the walk head (position 3)"),
+        # Both orientations break at position 1.
+        (DISJOINT.edges, [0, 1], "edges 0 and 1 do not attach at the walk head (position 1)"),
+        # A loop first: one orientation.
+        (((0, 0), (0, 1), (2, 3)), [0, 1, 2],
+         "edges 1 and 2 do not attach at the walk head (position 2)"),
+        (((0, 0), (0, 1), (2, 3)), [0, 2],
+         "edges 0 and 2 do not attach at the walk head (position 1)"),
+    ])
+    def test_exact_reasons(self, edges, trail, reason):
+        # The later break of the two first-edge orientations is reported.
+        verdict = validate_trail(Graph(5, edges), trail)
+        assert not verdict.ok and verdict.reason == reason
+
 
 class TestRandomGraph:
     def test_deterministic(self):
