@@ -53,66 +53,6 @@ def _load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _run_report(
-    engine: str,
-    g: Graph,
-    length: int,
-    trail,
-    *,
-    queries=None,
-    seed: int = 0,
-    alpha=None,
-    mode=None,
-    wall_ms: float = 0.0,
-) -> dict:
-    return {
-        "engine": engine,
-        "n": g.vertex_count,
-        "m": g.edge_count,
-        "length": length,
-        "trail": list(trail),
-        "queries": queries,
-        "seed": seed,
-        "alpha": alpha,
-        "mode": mode,
-        "wall_ms": wall_ms,
-    }
-
-
-def _solve_one(g: Graph, engine: str, mode: str, args) -> dict:
-    t0 = time.perf_counter()
-    if engine == "oracle":
-        res = longest_trail_bruteforce(g)
-        wall = (time.perf_counter() - t0) * 1000.0
-        return _run_report("oracle", g, res.length, res.trail,
-                           seed=args.seed, wall_ms=wall)
-    if engine == "dp":
-        res = full_dp_longest_trail(g)
-        wall = (time.perf_counter() - t0) * 1000.0
-        return _run_report("dp", g, res.length, res.trail,
-                           seed=args.seed, wall_ms=wall)
-    cfg = HybridConfig(
-        alpha=args.alpha,
-        mode=_MODES[mode],
-        repeats_per_level=args.repeats,
-        seed=args.seed,
-        budget_constant=args.budget_constant,
-    )
-    out = solve_hybrid(g, cfg)
-    wall = (time.perf_counter() - t0) * 1000.0
-    return _run_report(
-        f"hybrid-{mode}",
-        g,
-        out.length,
-        out.trail,
-        queries=out.ledger.as_dict(),
-        seed=args.seed,
-        alpha=args.alpha,
-        mode=mode,
-        wall_ms=wall,
-    )
-
-
 def cmd_gen(args) -> int:
     g = random_graph(args.n, args.m, args.seed)
     text = serialize_graph(g)
@@ -127,7 +67,26 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.input)
-    report = _solve_one(g, args.engine, args.mode, args)
+    report = {"engine": args.engine, "n": g.vertex_count, "m": g.edge_count, "queries": None,
+              "seed": args.seed, "alpha": None, "mode": None}
+    t0 = time.perf_counter()
+    if args.engine == "oracle":
+        res = longest_trail_bruteforce(g)
+    elif args.engine == "dp":
+        res = full_dp_longest_trail(g)
+    else:
+        res = solve_hybrid(g, HybridConfig(
+            alpha=args.alpha,
+            mode=_MODES[args.mode],
+            repeats_per_level=args.repeats,
+            seed=args.seed,
+            budget_constant=args.budget_constant,
+        ))
+    report["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+    if args.engine == "hybrid":
+        report.update(engine=f"hybrid-{args.mode}", queries=res.ledger.as_dict(),
+                      alpha=args.alpha, mode=args.mode)
+    report.update(length=res.length, trail=list(res.trail))
     _emit(report)
     return 0
 

@@ -78,7 +78,6 @@ def combine(a: int | None, b: int | None) -> int | None:
 class LayerSpec:
     """Precompute layer: all states with |S| <= k_pre are tabulated."""
 
-    alpha: float = 0.055
     k_pre: int = 1
 
     @classmethod
@@ -92,17 +91,15 @@ class LayerSpec:
         # Sets of size 2 cannot shrink under the pivot split, so the layer
         # must reach at least 2 whenever the graph has that many edges.
         k = max(k, min(m, 2))
-        return cls(alpha, min(k, m))
+        return cls(min(k, m))
 
 
 class DpTable:
     """Memo table for L(S, a, b) with predecessor witnesses.
 
     `entries` is the DP's per-arc memo: a packed (S, a, b) key maps to
-    (length | None, predecessor arc).  After `precompute_layer` it is
-    authoritative for every state with |S| <= k_pre: a miss there means the
-    state was never swept and is an internal error, so `get_arc` raises
-    instead of guessing.
+    (length | None, predecessor arc).  After `precompute_layer` it holds
+    every state (S, a, b) with 2 <= |S| <= k_pre and a, b on distinct edges.
 
     `rows` is the hybrid's state memo: per edge set S, a list indexed by
     rank(v) * |S| + rank(u) (e's rank: its position among S's edges) of the
@@ -112,8 +109,9 @@ class DpTable:
     only orientation 0, so slots i = 1 of a loop v and j = 1 of a loop u
     hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
     hybrid adds the states above.  Equal cells are one object (`intern`).
-    `splits[S]` (S above the layer) holds at (rank(v) * |S| + rank(u)) * 4 +
-    slot, v < u, the winning candidate's pattern index; -1: no walk or no solve.
+    `splits[S]` (S above the layer) holds at (rank(u) * (rank(u) - 1) / 2 +
+    rank(v)) * 4 + slot, v < u, the winning candidate's pattern index; -1: no
+    walk or no solve.
     """
 
     def __init__(self, g: Graph, k_pre: int = 0):
@@ -137,13 +135,15 @@ class DpTable:
         return len(self.entries)
 
     def row(self, S: int) -> list:
-        """The memo row of S (with S's winner array), made on first use."""
+        """The memo row of S (with S's winner array above the layer), made
+        on first use."""
         row = self.rows.get(S)
         if row is None:
             size = S.bit_count()
             row = self.rows[S] = [None] * (size * size) + [S]
             row[:-1:size + 1] = [self._single[e] for e in bits_of(S)]
-            self.splits[S] = array("i", [-1]) * (4 * size * size)
+            if size > self.k_pre:
+                self.splits[S] = array("i", [-1]) * (2 * size * (size - 1))
         return row
 
     def cell(self, S: int, v: int, u: int) -> tuple[int, ...] | None:
@@ -152,17 +152,6 @@ class DpTable:
         row = self.rows.get(S)
         cell = row and row[rank_in(S, v) * S.bit_count() + rank_in(S, u)]
         return None if cell is None else tuple(cell)
-
-    def get_arc(self, S: int, a: int, b: int) -> int | None:
-        ea, eb = a >> 1, b >> 1
-        if not (S >> ea & 1 and S >> eb & 1):
-            return None
-        if ea == eb:
-            return 1 if a == b else None
-        hit = self.entries.get(self.pack(S, a, b), _MISSING)
-        if hit is _MISSING:
-            raise TableLookupError(f"state (S={S:#x}, a={a}, b={b}) not in table")
-        return hit[0]
 
 
 def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
@@ -221,8 +210,8 @@ def precompute_layer(
     Sweeps each cardinality in deterministic lexicographic order, so the
     table is complete for the whole layer, not only for states the largest
     sets happen to reach, and writes each set's memo row as it goes.
-    Singleton states stay implicit (`get_arc` answers them).  Fails fast
-    when the projected entry count exceeds the budget.
+    Singleton states stay implicit.  Fails fast when the projected entry
+    count exceeds the budget.
     """
     m = g.edge_count
     if m < 1:
@@ -239,8 +228,7 @@ def precompute_layer(
     for k in range(2, spec.k_pre + 1):
         for combo in combinations(range(m), k):
             S = edge_set(combo)
-            row = table.rows[S] = [None] * (k * k) + [S]
-            row[:-1:k + 1] = [table._single[v] for v in combo]
+            row = table.row(S)
             for (i, v), (j, u) in permutations(enumerate(combo), 2):
                 cell = [0, 0, 0, 0]
                 for ai, a in enumerate(g.arcs_of(v)):

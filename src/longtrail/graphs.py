@@ -37,8 +37,6 @@ class SizeLimitError(ValueError):
 def check_edge_budget(m: int, limit: int, what: str) -> None:
     if m > limit:
         raise SizeLimitError(f"{what} supports at most {limit} edges, got {m}")
-    if m > MAX_EDGES:
-        raise SizeLimitError(f"instances are capped at {MAX_EDGES} edges, got {m}")
 
 
 @dataclass(frozen=True)
@@ -201,17 +199,18 @@ class TrailVerdict:
         return self.ok
 
 
-def _walk_from(g: Graph, trail: list[int], head: int) -> int | None:
-    """Try to realize trail[1:] starting at head; return final head or None."""
-    for e in trail[1:]:
+def _walk_from(g: Graph, trail: list[int], head: int) -> int:
+    """Walk trail[1:] from head; return the position of the first edge that
+    does not attach, or len(trail)."""
+    for pos, e in enumerate(trail[1:], 1):
         u, v = g.edges[e]
         if u == head:
             head = v
         elif v == head:
             head = u
         else:
-            return None
-    return head
+            return pos
+    return len(trail)
 
 
 def validate_trail(g: Graph, trail: Iterable[int]) -> TrailVerdict:
@@ -237,28 +236,17 @@ def validate_trail(g: Graph, trail: Iterable[int]) -> TrailVerdict:
     if len(seq) <= 1:
         return TrailVerdict(True)
     u0, v0 = g.edges[seq[0]]
+    # The later break of the two orientations is the one reported.
+    pos = 0
     for head in (v0, u0) if u0 != v0 else (u0,):
-        if _walk_from(g, seq, head) is not None:
+        end = _walk_from(g, seq, head)
+        if end == len(seq):
             return TrailVerdict(True)
-    # Locate the first break for the better orientation to report it.
-    best_pos, pair = 0, (seq[0], seq[1])
-    for head in (v0, u0):
-        cur = head
-        for pos in range(1, len(seq)):
-            e = seq[pos]
-            u, v = g.edges[e]
-            if u == cur:
-                cur = v
-            elif v == cur:
-                cur = u
-            else:
-                if pos > best_pos:
-                    best_pos, pair = pos, (seq[pos - 1], e)
-                break
+        pos = max(pos, end)
     return TrailVerdict(
         False,
-        f"edges {pair[0]} and {pair[1]} do not attach at the walk head "
-        f"(position {best_pos})",
+        f"edges {seq[pos - 1]} and {seq[pos]} do not attach at the walk head "
+        f"(position {pos})",
     )
 
 

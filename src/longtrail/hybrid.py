@@ -118,9 +118,9 @@ def _split_size(size: int, k_pre: int) -> int:
     return min(max(size >> 1, 2, k_pre), size - 1)
 
 
-def _subsets(S: int, k: int) -> list[int]:
-    """The k-subsets of S as masks, in combinations order of its edges."""
-    return list(map(sum, combinations([1 << p for p in bits_of(S)], k)))
+def _subsets(edges: Sequence[int], k: int) -> list[int]:
+    """The k-subsets of the edges as masks, in combinations order."""
+    return list(map(sum, combinations([1 << p for p in edges], k)))
 
 
 def _split_candidates(size: int, h: int, rlo: int, rhi: int):
@@ -142,11 +142,11 @@ def _split_candidates(size: int, h: int, rlo: int, rhi: int):
 
 
 def _build_pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
-    """`_split_candidates` as columns, S' and T as indexes into `_subsets(S, h)` and
-    `_subsets(S, size - h + 1)`; then those two as itemgetters (of >= 2: tuples)."""
+    """`_split_candidates` as columns, S' and T as indexes into S's `_subsets` of h and
+    of size - h + 1 edges; then those two as itemgetters (of >= 2: tuples)."""
     full = (1 << size) - 1
-    left_index = {mask: i for i, mask in enumerate(_subsets(full, h))}
-    right_index = {mask: i for i, mask in enumerate(_subsets(full, size - h + 1))}
+    left_index = {mask: i for i, mask in enumerate(_subsets(range(size), h))}
+    right_index = {mask: i for i, mask in enumerate(_subsets(range(size), size - h + 1))}
     sidx, lslot, tidx, rslot, prank = zip(*[
         (left_index[S1], ls, right_index[full ^ S1 | 1 << y], rs, y)
         for S1, y, ls, rs in _split_candidates(size, h, rlo, rhi)])
@@ -220,8 +220,8 @@ def _solve_state(ctx: SolveContext, row: list, v: int, u: int, rv: int, ru: int,
     # pattern indexes.
     if S not in ctx.halves:
         bits = list(bits_of(S))
-        ctx.halves[S] = [bits] + [list(map(ctx.table.row, map(sum, combinations(
-            [1 << p for p in bits], k)))) for k in (h, size - h + 1)]
+        ctx.halves[S] = [bits] + [
+            list(map(ctx.table.row, _subsets(bits, k))) for k in (h, size - h + 1)]
     bits, left_rows, right_rows = ctx.halves[S]
     lcells = list(map(getitem, pick_left(left_rows), lslot))
     rcells = list(map(getitem, pick_right(right_rows), rslot))
@@ -243,7 +243,7 @@ def _solve_state(ctx: SolveContext, row: list, v: int, u: int, rv: int, ru: int,
 
     slots, transpose = _ORIENT[ctx.graph.arc_count[lo], ctx.graph.arc_count[hi]]
     vals, total = bytearray(4), 0
-    winners, base = ctx.table.splits[S], (rlo * size + rhi) * 4
+    winners, base = ctx.table.splits[S], (rhi * (rhi - 1) // 2 + rlo) * 4
     for slot, values in zip(slots, _combine(left, right, slots)):
         val, idx, charged = ctx.search(values)
         total += charged
@@ -293,7 +293,7 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
         forward = (S, g.reverse_arc(b), g.reverse_arc(a))
         return reconstruct_from_witness(forward, table)[::-1]
     ai, bi, rank_v, rank_u = a & 1, b & 1, rank_in(S, v), rank_in(S, u)
-    k = table.splits[S][(rank_v * size + rank_u) * 4 + ai * 2 + bi]
+    k = table.splits[S][(rank_u * (rank_u - 1) // 2 + rank_v) * 4 + ai * 2 + bi]
     h = _split_size(size, table.k_pre)
     if size <= _KEPT:  # the kept pattern's columns; S' unranked in rank space
         i, ls, _, rs, r = (col[k] for col in _kept_pattern(size, h, rank_v, rank_u)[:5])
@@ -378,7 +378,8 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
         if size - h + 1 <= k_pre:  # then h <= k_pre too: both halves on the layer
             return
         if S not in subsets:  # no list of left halves on the layer: none is visited
-            subsets[S] = list(bits_of(S)), h > k_pre and _subsets(S, h), _subsets(S, size - h + 1)
+            bits = list(bits_of(S))
+            subsets[S] = bits, h > k_pre and _subsets(bits, h), _subsets(bits, size - h + 1)
         bits, lefts, rights = subsets[S]
         # A state's key is its set and its endpoints' bits, in either order.
         for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):

@@ -64,7 +64,6 @@ class ValueOracle:
         if len(values) < 1:
             raise ValueError("oracle needs at least one value")
         self.values = values
-        self.size = len(values)
 
     @classmethod
     def from_values(cls, values: Sequence) -> "ValueOracle":

@@ -201,51 +201,48 @@ class TestPrecomputeLayer:
     def test_triangle_k2_matches_bruteforce(self):
         table = precompute_layer(TRIANGLE, LayerSpec(k_pre=2))
         for S in range(1, 8):
-            if bin(S).count("1") > 2:
-                continue
-            for v in range(3):
-                for u in range(3):
-                    if S >> v & 1 and S >> u & 1:
-                        best = None
-                        for a in TRIANGLE.arcs_of(v):
-                            for b in TRIANGLE.arcs_of(u):
-                                val = table.get_arc(S, a, b)
-                                if val is not None and (best is None or val > best):
-                                    best = val
-                        assert best == constrained_longest_bruteforce(
-                            TRIANGLE, S, v, u
-                        ), (S, v, u)
+            for v in bits_of(S):
+                for u in bits_of(S):
+                    want = constrained_longest_bruteforce(TRIANGLE, S, v, u)
+                    if S.bit_count() == 1:
+                        # Singleton states stay implicit: no row.
+                        assert table.cell(S, v, u) is None and want == 1
+                    elif S.bit_count() == 2:
+                        best = max(table.cell(S, v, u))
+                        assert (best or None) == want, (S, v, u)
+                    else:
+                        assert table.cell(S, v, u) is None
 
     def test_k1_gives_base_states_only(self):
         g = random_graph(4, 6, 9)
         table = precompute_layer(g, LayerSpec(k_pre=1))
-        # Singleton states answer 1 (same arc) or None (opposite arcs); they
-        # are implicit, so the layer stores no compound states at all.
+        # Singleton states are implicit, so the layer stores no compound
+        # states at all.
         assert len(table.entries) == 0
-        for v in range(6):
-            for a in g.arcs_of(v):
-                assert table.get_arc(1 << v, a, a) == 1
-                rev = g.reverse_arc(a)
-                if rev != a:
-                    assert table.get_arc(1 << v, a, rev) is None
+        assert table.rows == {} and table.splits == {}
 
     def test_layer_is_complete(self):
+        # Every set of 2 <= |S| <= k_pre has a row with every cell set, and
+        # the per-arc memo holds every arc pair of S on distinct edges.
         g = random_graph(5, 9, 31)
         spec = LayerSpec.for_graph(9)
+        assert spec.k_pre >= 3
         table = precompute_layer(g, spec)
-        for k in range(1, spec.k_pre + 1):
+        assert len(table.rows) == sum(math.comb(9, k) for k in range(2, spec.k_pre + 1))
+        assert table.splits == {}
+        for k in range(2, spec.k_pre + 1):
             for combo in combinations(range(9), k):
                 S = edge_set(combo)
+                row = table.rows[S]
+                assert len(row) == k * k + 1 and row[-1] == S
+                assert None not in row
                 for v in combo:
                     for u in combo:
+                        if u == v:
+                            continue
                         for a in g.arcs_of(v):
                             for b in g.arcs_of(u):
-                                table.get_arc(S, a, b)  # must not raise
-
-    def test_missing_state_raises(self):
-        table = precompute_layer(TRIANGLE, LayerSpec(k_pre=2))
-        with pytest.raises(TableLookupError):
-            table.get_arc(0b111, 0, 4)
+                                assert table.pack(S, a, b) in table.entries, (S, a, b)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -253,10 +250,11 @@ class TestPrecomputeLayer:
 
     def test_matrix_view_consistent(self):
         # Every cell of every layer row, the single-edge diagonal included,
-        # holds the per-arc memo's values (0 for no walk).
+        # holds the values that the per-arc DP computes afresh (0 for no walk).
         g = random_graph(5, 8, 77)
         spec = LayerSpec.for_graph(8)
         table = precompute_layer(g, spec)
+        fresh = DpTable(g)
         assert len(table.rows) == sum(math.comb(8, k) for k in range(2, spec.k_pre + 1))
         for S in table.rows:
             for v in bits_of(S):
@@ -264,7 +262,7 @@ class TestPrecomputeLayer:
                     cells = table.cell(S, v, u)
                     for ai, a in enumerate(g.arcs_of(v)):
                         for bi, b in enumerate(g.arcs_of(u)):
-                            val = table.get_arc(S, a, b)
+                            val = get_len_arc(g, S, a, b, fresh)
                             assert cells[ai * 2 + bi] == (0 if val is None else val)
 
 

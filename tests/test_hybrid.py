@@ -232,7 +232,8 @@ class TestSplitRecords:
         # Each winner-array entry is a candidate index; the rebuild derives
         # the pivot from it.  Every cell with a walk must rebuild to a valid
         # walk of the cell's length from v to u, and only those cells hold
-        # one; entries of states not solved (and of v > u) stay -1.
+        # one; entries of states not solved stay -1.  A set's array holds
+        # four entries per edge pair v < u, at the pair's rank.
         for g in (random_graph(5, 9, 14), LOOPS_7, LOOPS_5):
             m = g.edge_count
             ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
@@ -244,11 +245,15 @@ class TestSplitRecords:
             for S, winners in ctx.table.splits.items():
                 size = S.bit_count()
                 assert size > ctx.k_pre
-                assert winners.typecode == "i" and len(winners) == 4 * size * size
-                for (rv, v), (ru, u) in product(enumerate(bits_of(S)), repeat=2):
-                    record = winners[(rv * size + ru) * 4:(rv * size + ru + 1) * 4]
+                assert winners.typecode == "i" and len(winners) == 2 * size * (size - 1)
+                pairs = list(combinations(enumerate(bits_of(S)), 2))
+                ranks = [ru * (ru - 1) // 2 + rv for (rv, _), (ru, _) in pairs]
+                # The pair ranks cover the array's records one to one.
+                assert sorted(ranks) == list(range(len(pairs)))
+                for ((rv, v), (ru, u)), pair in zip(pairs, ranks):
+                    record = winners[pair * 4:(pair + 1) * 4]
                     cell = ctx.table.cell(S, v, u)
-                    if rv >= ru or cell is None:
+                    if cell is None:
                         assert list(record) == [-1] * 4, (S, v, u)
                         continue
                     solved += 1
@@ -340,7 +345,7 @@ class TestCandidatePattern:
             while S == (1 << size) - 1 << (S & -S).bit_length() - 1:
                 S = edge_set(rnd.sample(range(2 * size + 1), size))
             bits = list(bits_of(S))
-            left_sets, right_sets = _subsets(S, h), _subsets(S, t)
+            left_sets, right_sets = _subsets(bits, h), _subsets(bits, t)
             for rlo in range(size):
                 for rhi in range(rlo + 1, size):
                     lo, hi = bits[rlo], bits[rhi]
