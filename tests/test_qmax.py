@@ -225,3 +225,46 @@ class TestValueOracle:
         assert out.value == 255
         out = qmax_exhaustive(ValueOracle.from_values(arr), QueryLedger())
         assert (out.value, out.witness_index) == (255, int(np.argmax(arr)))
+
+
+_TIES = [3, 7, 7, 1, 7, 0, 2, 7, 5, 7, 6, 7]
+# A searched slot as the hybrid hands it over: one byte per candidate, 0 for
+# "no walk".
+_CELLS = bytes([0, 5, 0, 3, 7, 0, 7, 2, 0, 0, 6, 7, 1, 0, 4, 7])
+
+# (values, repeats, stream seed, budget constant) -> (value, index, charged);
+# repeats None is the exhaustive scan.
+_GOLDEN = [
+    (shuffled_range(256, 1), None, None, None, (255, 226, 256)),
+    (_TIES, None, None, None, (7, 1, 12)),
+    (_CELLS, None, None, None, (7, 4, 16)),
+    (shuffled_range(256, 2), 1, 3, 23.0, (255, 79, 24)),
+    (shuffled_range(256, 2), 8, 3, 23.0, (255, 79, 230)),
+    (_TIES, 1, 4, 23.0, (7, 4, 1)),
+    (_TIES, 8, 4, 23.0, (7, 4, 14)),
+    ([6] * 10, 8, 5, 23.0, (6, 6, 8)),
+    ([4], 1, 6, 23.0, (4, 0, 1)),
+    (_CELLS, 1, 7, 23.0, (7, 4, 3)),
+    (_CELLS, 8, 7, 23.0, (7, 4, 21)),
+    (shuffled_range(256, 8), 1, 9, 0.5, (249, 172, 5)),
+    (shuffled_range(256, 8), 8, 9, 0.5, (255, 236, 45)),
+    (shuffled_range(256, 10), 1, 11, 1e9, (255, 191, 32)),
+]
+
+
+def test_golden_outcomes():
+    """Exact (value, index, charged) of seeded searches, recorded from
+    `qmax_exhaustive` and `boosted_qmax` (and, for bytes, which those do not
+    take, from the `_exhaustive` and `_boosted` cores the hybrid calls)."""
+    from longtrail.qmax import _boosted, _exhaustive
+
+    for values, repeats, seed, budget, want in _GOLDEN:
+        if isinstance(values, bytes):
+            got = (_exhaustive(values) if repeats is None
+                   else _boosted(values, repeats, random.Random(seed).random, budget))
+        else:
+            out = (qmax_exhaustive(ValueOracle(values), QueryLedger()) if repeats is None
+                   else boosted_qmax(ValueOracle(values), repeats, random.Random(seed),
+                                     QueryLedger(), budget_constant=budget))
+            got = (out.value, out.witness_index, out.queries_charged)
+        assert tuple(got) == want, (values, repeats, seed, budget)
