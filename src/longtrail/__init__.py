@@ -30,10 +30,8 @@ from .hybrid import (
 )
 from .qmax import (
     QueryLedger,
-    ValueOracle,
-    boosted_qmax,
-    qmax_durr_hoyer,
-    qmax_exhaustive,
+    boosted,
+    exhaustive,
 )
 
 __all__ = [
@@ -45,15 +43,13 @@ __all__ = [
     "SizeLimitError",
     "SolveResult",
     "TrailVerdict",
-    "ValueOracle",
-    "boosted_qmax",
+    "boosted",
     "constrained_longest_bruteforce",
+    "exhaustive",
     "full_dp_longest_trail",
     "longest_trail_bruteforce",
     "parse_graph",
     "predict_deterministic_queries",
-    "qmax_durr_hoyer",
-    "qmax_exhaustive",
     "random_graph",
     "serialize_graph",
     "solve_hybrid",

@@ -17,8 +17,9 @@ with L(S, a, a) = 1 whenever edge(a) is in S, and None when first and last
 edge coincide but the arcs differ.  The winning predecessor arc is memoized
 per state so any stored walk can be rebuilt by chaining.
 
-Public entry points expose the edge-level view L(S, v, u) = max over the arc
-pairs of the two edges; the arc level stays available for the hybrid solver.
+The per-arc functions are the DP's interface: `get_len_arc` computes and
+memoizes L(S, a, b), `reconstruct_arc` rebuilds its walk.  The edge-level
+view, the 4 arc-pair slots of edges (v, u), is `DpTable.cell` over the rows.
 
 `full_dp_longest_trail` maximises L(E, a, b) over every pair of arcs on
 distinct edges, and most of those pairs cannot win.  A trail from tail(a) to
@@ -61,17 +62,6 @@ class CapacityError(MemoryError):
 
 class TableLookupError(KeyError):
     """Raised when a required table entry is absent."""
-
-
-def combine(a: int | None, b: int | None) -> int | None:
-    """Length of two walks concatenated at a shared pivot edge.
-
-    The pivot is counted by both halves, hence the minus one; None (no walk)
-    absorbs.
-    """
-    if a is None or b is None:
-        return None
-    return a + b - 1
 
 
 @dataclass(frozen=True)
@@ -180,24 +170,6 @@ def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
     return best
 
 
-def get_len(g: Graph, S: int, v: int, u: int, table: DpTable) -> int | None:
-    """L(S, v, u): longest walk within S starting with edge v, ending with
-    edge u, orientation-free at both ends."""
-    if not (0 <= v < g.edge_count and 0 <= u < g.edge_count):
-        raise IndexError("edge index out of range")
-    if not (S >> v & 1 and S >> u & 1):
-        return None
-    if v == u:
-        return 1
-    best: int | None = None
-    for a in g.arcs_of(v):
-        for b in g.arcs_of(u):
-            val = get_len_arc(g, S, a, b, table)
-            if val is not None and (best is None or val > best):
-                best = val
-    return best
-
-
 def estimate_layer_entries(m: int, k_pre: int) -> int:
     return sum(math.comb(m, k) * (2 * k) ** 2 for k in range(1, k_pre + 1))
 
@@ -274,7 +246,6 @@ def full_dp_longest_trail(g: Graph) -> OracleResult:
 
 def reconstruct_arc(table: DpTable, S: int, a: int, b: int) -> list[int]:
     """Rebuild the stored walk for state (S, a, b) by predecessor chaining."""
-    g = table.g
     seq: list[int] = []
     cur_S, cur_b = S, b
     while True:
@@ -294,24 +265,3 @@ def reconstruct_arc(table: DpTable, S: int, a: int, b: int) -> list[int]:
         cur_b = hit[1]
     seq.reverse()
     return seq
-
-
-def reconstruct_path(table: DpTable, S: int, v: int, u: int) -> list[int]:
-    """Rebuild a longest stored walk for (S, v, u), edge-level view."""
-    g = table.g
-    if v == u:
-        if not S >> v & 1:
-            raise TableLookupError(f"edge {v} not in S")
-        return [v]
-    best: int | None = None
-    arcs: tuple[int, int] | None = None
-    for a in g.arcs_of(v):
-        for b in g.arcs_of(u):
-            hit = table.entries.get(table.pack(S, a, b), _MISSING)
-            if hit is _MISSING:
-                continue
-            if hit[0] is not None and (best is None or hit[0] > best):
-                best, arcs = hit[0], (a, b)
-    if arcs is None:
-        raise TableLookupError(f"no stored walk for (S={S:#x}, v={v}, u={u})")
-    return reconstruct_arc(table, S, arcs[0], arcs[1])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterable, Iterator
 
 MAX_EDGES = 30
@@ -313,14 +314,16 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 
     rng = _random.Random(seed)
     npairs = n * (n + 1) // 2
+    # Pair k lies in row u (pairs (u, u), ..., (u, n - 1)), which starts at
+    # u * (b - u) / 2 with b = 2n + 1.  u is the smaller root of start = k,
+    # rounded down; isqrt rounds the square root down, which can put u one
+    # row too far.
+    b = 2 * n + 1
     edges = []
     for _ in range(m):
         k = rng.randrange(npairs)
-        u = 0
-        row = n
-        while k >= row:
-            k -= row
-            u += 1
-            row -= 1
-        edges.append((u, u + k))
+        u = (b - isqrt(b * b - 8 * k)) // 2
+        if u * (b - u) // 2 > k:
+            u -= 1
+        edges.append((u, u + k - u * (b - u) // 2))
     return Graph(n, tuple(edges))

@@ -11,8 +11,8 @@ concatenation walkable.  The recursion bottoms out in table lookups once
 |S| <= k_pre.
 
 Each maximization runs through one query-counting qmax search bound per
-run: `qmax._exhaustive` in deterministic mode (results provably equal to the
-full DP), `qmax._boosted` threshold searches on the seeded stream in
+run: `qmax.exhaustive` in deterministic mode (results provably equal to the
+full DP), `qmax.boosted` threshold searches on the seeded stream in
 stochastic mode.  A state's charges land in a QueryLedger under the depth at
 which it is first reached.  States are solved once per run and memoized
 (with no object per state, see DpTable), so stochastic references to a state
@@ -25,7 +25,7 @@ Python ints (`_combine`) and hands each searched slot's lanes to the search
 as bytes.  Missing halves are solved first, in candidate order: the
 depth-first order that the per-depth charges and the stochastic stream
 depend on.  A witness (S, first arc, last arc) is rebuilt by chaining down to the
-layer; a winner comes from its kept pattern, or lazily from the patterns' generator.
+layer, each winner read from its state's pattern.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, rank_in, validate_trail
-from .qmax import QueryLedger, _boosted, _exhaustive
+from .qmax import QueryLedger, boosted, exhaustive
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -94,14 +94,14 @@ class SolveContext:
         self.k_pre = table.k_pre
         self.ledger = QueryLedger()
         self.halves: dict = {}
-        self.search = _exhaustive
+        self.search = exhaustive
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
             rnd = random.Random(cfg.seed).random
             bconst = cfg.budget_constant
 
             def search(values: Sequence) -> tuple:
-                return _boosted(values, repeats, rnd, bconst)
+                return boosted(values, repeats, rnd, bconst)
 
             self.search = search
 
@@ -295,11 +295,9 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     ai, bi, rank_v, rank_u = a & 1, b & 1, rank_in(S, v), rank_in(S, u)
     k = table.splits[S][(rank_u * (rank_u - 1) // 2 + rank_v) * 4 + ai * 2 + bi]
     h = _split_size(size, table.k_pre)
-    if size <= _KEPT:  # the kept pattern's columns; S' unranked in rank space
-        i, ls, _, rs, r = (col[k] for col in _kept_pattern(size, h, rank_v, rank_u)[:5])
-        ranks = sum(next(islice(combinations([1 << p for p in range(size)], h), i, None)))
-    else:  # enumerate lazily, stopping at the winner
-        ranks, r, ls, rs = next(islice(_split_candidates(size, h, rank_v, rank_u), k, None))
+    # The winner's columns in the pattern; S' unranked in rank space.
+    i, ls, _, rs, r = (col[k] for col in _pattern(size, h, rank_v, rank_u)[:5])
+    ranks = sum(next(islice(combinations([1 << p for p in range(size)], h), i, None)))
     bits = list(bits_of(S))
     y = bits[r]
     S1 = sum(1 << bits[p] for p in bits_of(ranks))

@@ -10,8 +10,10 @@ budget (budget_constant * ceil(sqrt(N))).  A budget stop returns the current
 threshold element, so errors are one-sided: the result is always a genuine
 element of the sequence, at worst a non-maximal one.
 
-Values may be ints or None; None means "no walk here" and compares below
-everything, so an invalid candidate can never win a maximization.
+A search runs over a sequence of mutually comparable values (a list, or the
+hybrid's bytes) and returns (value, index, charged).  The caller encodes "no
+value" below every real value, as the hybrid does with 0, so an invalid
+candidate can never win a maximization.
 
 Charged queries follow the model above, not the simulator's own bookkeeping
 sweeps: the simulator inspects the whole value sequence to compute the t
@@ -22,11 +24,8 @@ records what the idealized quantum search would have paid.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
-
-_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -34,12 +33,6 @@ class QueryLedger:
     """Per-recursion-level counts of charged oracle queries."""
 
     per_level: dict[str, int] = field(default_factory=dict)
-
-    def charge(self, level: int | str, count: int) -> None:
-        if count < 0:
-            raise ValueError("cannot charge a negative query count")
-        key = level if isinstance(level, str) else f"level{level}"
-        self.per_level[key] = self.per_level.get(key, 0) + count
 
     @property
     def total(self) -> int:
@@ -49,27 +42,6 @@ class QueryLedger:
         return {"total": self.total, "per_level": dict(sorted(self.per_level.items()))}
 
 
-@dataclass(frozen=True)
-class QmaxOutcome:
-    value: int | None
-    witness_index: int | None
-    queries_charged: int
-
-
-class ValueOracle:
-    """Indexed value sequence that a maximum-finding search runs over; None
-    marks an index with no value."""
-
-    def __init__(self, values: Sequence):
-        if len(values) < 1:
-            raise ValueError("oracle needs at least one value")
-        self.values = values
-
-    @classmethod
-    def from_values(cls, values: Sequence) -> "ValueOracle":
-        return cls(values)
-
-
 def grover_stage_cost(N: int, t: int) -> int:
     """Charged cost of one idealized Grover search with t of N items marked."""
     if not 1 <= t <= N:
@@ -77,30 +49,10 @@ def grover_stage_cost(N: int, t: int) -> int:
     return math.ceil(math.pi / 4.0 * math.sqrt(N / t))
 
 
-def qmax_exhaustive(
-    oracle: ValueOracle, ledger: QueryLedger, *, level: int | str = 0
-) -> QmaxOutcome:
-    """Deterministic reference mode: evaluate everything, charge N queries."""
-    val, idx, charged = _exhaustive(_comparable(oracle.values))
-    ledger.charge(level, charged)
-    if val == _NEG_INF:
-        return QmaxOutcome(None, None, charged)
-    return QmaxOutcome(val, idx, charged)
-
-
-def _comparable(values: Sequence) -> Sequence:
-    """The oracle's values as a list of mutually comparable items: numpy
-    arrays become plain ints (which sort faster) and None becomes -inf."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
-    if None in values:
-        return [_NEG_INF if v is None else v for v in values]
-    return values
-
-
-def _exhaustive(values: Sequence):
-    """Core of the deterministic search, shared by the public entry point and
-    the hybrid solver: (best value, its first index, N queries charged)."""
+def exhaustive(values: Sequence) -> tuple:
+    """Deterministic reference search: evaluate everything and charge N
+    queries.  Returns (best value, its first index, N); ValueError (from
+    `max`) on an empty sequence."""
     best = max(values)
     return best, values.index(best), len(values)
 
@@ -117,15 +69,15 @@ def _stage_costs(N: int) -> list[int]:
     return table
 
 
-def _boosted(values: list, repeats: int, rnd, budget_constant: float):
-    """Core of the stochastic search, shared by the public entry points and
-    the hybrid solver: `repeats` threshold-search trajectories over one list
-    of mutually comparable values.
+def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
+    """Bounded-error search: `repeats` threshold-search trajectories over one
+    sequence of mutually comparable values.
 
     `rnd` is a bound `Random.random` method; repeats consume disjoint
     segments of that stream.  Returns (value, witness_index, charged_total)
-    for the first outcome attaining the best value sampled.  The caller
-    decides whether that value means "nothing found".
+    for the first outcome attaining the best value sampled.  One-sided error
+    makes boosting safe: a repeat can only improve the value, and repeats=1
+    is a single Durr-Hoyer run.
 
     The trajectory walks ranks of the descending value order: the initial
     uniform index sample is taken directly in rank space (a bijection of
@@ -134,7 +86,11 @@ def _boosted(values: list, repeats: int, rnd, budget_constant: float):
     would overrun the query budget aborts the run with the current (genuine,
     possibly non-maximal) element.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     N = len(values)
+    if not N:
+        raise ValueError("search needs at least one value")
     first = values[0]
     if values.count(first) == N:
         # No value beats any sample: each repeat draws its start and stops,
@@ -177,42 +133,3 @@ def _boosted(values: list, repeats: int, rnd, budget_constant: float):
             best_rank = r
             best_val = val
     return best_val, order[best_rank], total
-
-
-def qmax_durr_hoyer(
-    oracle: ValueOracle,
-    rng: random.Random,
-    ledger: QueryLedger,
-    *,
-    level: int | str = 0,
-    budget_constant: float = 23.0,
-) -> QmaxOutcome:
-    """One bounded-error maximum-finding run over the oracle's values."""
-    return boosted_qmax(
-        oracle, 1, rng, ledger, level=level, budget_constant=budget_constant
-    )
-
-
-def boosted_qmax(
-    oracle: ValueOracle,
-    repeats: int,
-    rng: random.Random,
-    ledger: QueryLedger,
-    *,
-    level: int | str = 0,
-    budget_constant: float = 23.0,
-) -> QmaxOutcome:
-    """Repeat the bounded-error search and keep the best genuine element.
-
-    One-sided error makes boosting safe: a repeat can only improve the
-    value.  With repeats=1 this draws and returns exactly what a single
-    `qmax_durr_hoyer` run on the same stream would.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    values = _comparable(oracle.values)
-    val, idx, charged = _boosted(values, repeats, rng.random, budget_constant)
-    ledger.charge(level, charged)
-    if val == _NEG_INF:
-        return QmaxOutcome(None, None, charged)
-    return QmaxOutcome(val, idx, charged)

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from longtrail.bruteforce import longest_trail_bruteforce
-from longtrail.dp import DpTable, full_dp_longest_trail, get_len, get_len_arc, combine
+from longtrail.dp import DpTable, full_dp_longest_trail, get_len_arc, reconstruct_arc
 from longtrail.graphs import Graph, bits_of, random_graph, validate_trail
 from longtrail.hybrid import (
     HybridConfig,
@@ -21,7 +21,9 @@ from longtrail.hybrid import (
     solve_hybrid,
     theoretical_costs,
 )
-from longtrail.qmax import QueryLedger, ValueOracle, qmax_durr_hoyer
+from longtrail.qmax import boosted
+
+from edge_level import edge_len
 
 DET = HybridConfig(mode="deterministic")
 
@@ -74,10 +76,9 @@ def test_criterion_3_singleton_base_case():
     for g in graphs:
         table = DpTable(g)
         for v in range(g.edge_count):
-            assert get_len(g, 1 << v, v, v, table) == 1
-            from longtrail.dp import reconstruct_path
-
-            assert reconstruct_path(table, 1 << v, v, v) == [v]
+            for a in g.arcs_of(v):
+                assert get_len_arc(g, 1 << v, a, a, table) == 1
+                assert reconstruct_arc(table, 1 << v, a, a) == [v]
             edges_checked += 1
     _report(3, f"singleton base case exact on {edges_checked} edges across {len(graphs)} graphs")
 
@@ -101,8 +102,11 @@ def _oriented_split_best(g, table, S, v, u, k):
                     if left is None:
                         continue
                     for b in g.arcs_of(u):
-                        val = combine(left, get_len_arc(g, T, c, b, table))
-                        if val is not None and (best is None or val > best):
+                        right = get_len_arc(g, T, c, b, table)
+                        if right is None:
+                            continue
+                        val = left + right - 1  # both halves count the pivot edge
+                        if best is None or val > best:
                             best = val
     return best
 
@@ -122,7 +126,7 @@ def test_criterion_4_split_property():
                 continue
             for v in members:
                 for u in members:
-                    direct = get_len(g, S, v, u, table)
+                    direct = edge_len(g, S, v, u, table)
                     for k in range(1, len(members) + 1):
                         split = _oriented_split_best(g, table, S, v, u, k)
                         assert split == direct, (g.edges, S, v, u, k, split, direct)
@@ -163,13 +167,8 @@ def test_criterion_6_durr_hoyer_calibration():
     for seed in range(1000):
         vals = list(range(256))
         random.Random(seed).shuffle(vals)
-        out = qmax_durr_hoyer(
-            ValueOracle.from_values(vals),
-            random.Random(100_000 + seed),
-            QueryLedger(),
-            budget_constant=23.0,
-        )
-        hits += out.value == 255
+        value, _, _ = boosted(vals, 1, random.Random(100_000 + seed).random, 23.0)
+        hits += value == 255
     rate = hits / 1000
     assert rate >= 0.90, f"calibration rate {rate:.3f} below 0.90"
     _report(6, f"unboosted max-finding success {rate:.3f} >= 0.90 at N=256, budget 23*sqrt(N)")
@@ -183,12 +182,8 @@ def test_criterion_7_query_scaling():
         total = 0
         for seed in range(1000):
             arr = np.random.default_rng(seed).permutation(N)
-            out = qmax_durr_hoyer(
-                ValueOracle.from_values(arr),
-                random.Random(seed),
-                QueryLedger(),
-            )
-            total += out.queries_charged
+            _, _, charged = boosted(arr.tolist(), 1, random.Random(seed).random, 23.0)
+            total += charged
         means.append(total / 1000)
     ratios = [means[i + 1] / means[i] for i in range(len(means) - 1)]
     assert all(r <= 2.3 for r in ratios), (means, ratios)

@@ -14,12 +14,10 @@ from longtrail.dp import (
     DpTable,
     LayerSpec,
     TableLookupError,
-    combine,
     full_dp_longest_trail,
-    get_len,
     get_len_arc,
     precompute_layer,
-    reconstruct_path,
+    reconstruct_arc,
 )
 from longtrail.graphs import (
     Graph,
@@ -31,6 +29,8 @@ from longtrail.graphs import (
     validate_trail,
 )
 
+from edge_level import edge_len
+
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
@@ -41,40 +41,27 @@ def random_cases(count, max_m, base=0, min_m=1, max_n=6):
         yield random_graph(rnd.randint(2, max_n), rnd.randint(min_m, max_m), seed=base + trial * 7)
 
 
-class TestCombine:
-    def test_shared_pivot_arithmetic(self):
-        assert combine(2, 3) == 4
-
-    def test_both_halves_are_the_pivot(self):
-        assert combine(1, 1) == 1
-
-    def test_none_absorbs(self):
-        assert combine(None, 5) is None
-        assert combine(5, None) is None
-        assert combine(None, None) is None
-
-
 class TestGetLen:
     def test_triangle_full(self):
         table = DpTable(TRIANGLE)
-        assert get_len(TRIANGLE, 0b111, 0, 2, table) == 3
+        assert edge_len(TRIANGLE, 0b111, 0, 2, table) == 3
 
     def test_singleton_base(self):
         table = DpTable(TRIANGLE)
         for v in range(3):
-            assert get_len(TRIANGLE, 1 << v, v, v, table) == 1
+            assert edge_len(TRIANGLE, 1 << v, v, v, table) == 1
 
     def test_disjoint_edges(self):
         g = Graph(4, ((0, 1), (2, 3)))
-        assert get_len(g, 0b11, 0, 1, DpTable(g)) is None
+        assert edge_len(g, 0b11, 0, 1, DpTable(g)) is None
 
     def test_same_first_and_last_edge(self):
         table = DpTable(TRIANGLE)
-        assert get_len(TRIANGLE, 0b111, 0, 0, table) == 1
+        assert edge_len(TRIANGLE, 0b111, 0, 0, table) == 1
 
     def test_membership_guard(self):
         table = DpTable(TRIANGLE)
-        assert get_len(TRIANGLE, edge_set([1, 2]), 0, 1, table) is None
+        assert edge_len(TRIANGLE, edge_set([1, 2]), 0, 1, table) is None
 
     def test_matches_bruteforce_exhaustively(self):
         for g in random_cases(12, max_m=6):
@@ -83,7 +70,7 @@ class TestGetLen:
             for S in range(1, g.full_edge_set + 1):
                 for v in range(m):
                     for u in range(m):
-                        assert get_len(g, S, v, u, table) == (
+                        assert edge_len(g, S, v, u, table) == (
                             constrained_longest_bruteforce(g, S, v, u)
                         ), (g.edges, S, v, u)
 
@@ -95,7 +82,7 @@ class TestGetLen:
             for _ in range(150):
                 S = rnd.randrange(1, g.full_edge_set + 1)
                 v, u = rnd.randrange(m), rnd.randrange(m)
-                assert get_len(g, S, v, u, table) == (
+                assert edge_len(g, S, v, u, table) == (
                     constrained_longest_bruteforce(g, S, v, u)
                 )
 
@@ -107,7 +94,7 @@ class TestGetLen:
             for _ in range(80):
                 S = rnd.randrange(1, g.full_edge_set + 1)
                 v, u = rnd.randrange(m), rnd.randrange(m)
-                assert get_len(g, S, v, u, table) == get_len(g, S, u, v, table)
+                assert edge_len(g, S, v, u, table) == edge_len(g, S, u, v, table)
 
     def test_arc_reversal_symmetry(self):
         for g in random_cases(6, max_m=6, base=130):
@@ -290,10 +277,10 @@ class TestSplitProperty:
                                         left = get_len_arc(g, S1, a, c, table)
                                         T = (S & ~S1) | (1 << (c >> 1))
                                         right = get_len_arc(g, T, c, b, table)
-                                        val = combine(left, right)
-                                        if val is not None and (
-                                            best is None or val > best
-                                        ):
+                                        if left is None or right is None:
+                                            continue
+                                        val = left + right - 1  # both count the pivot
+                                        if best is None or val > best:
                                             best = val
                                     assert best == direct, (g.edges, S, v, u, k)
 
@@ -312,19 +299,19 @@ def _splits(g, S, v, k):
 class TestReconstruct:
     def test_triangle(self):
         table = DpTable(TRIANGLE)
-        assert get_len(TRIANGLE, 0b111, 0, 2, table) == 3
-        trail = reconstruct_path(table, 0b111, 0, 2)
+        assert get_len_arc(TRIANGLE, 0b111, 1, 5, table) == 3
+        trail = reconstruct_arc(table, 0b111, 1, 5)
         assert validate_trail(TRIANGLE, trail).ok
         assert len(trail) == 3 and trail[0] == 0 and trail[-1] == 2
 
     def test_singleton(self):
         table = DpTable(TRIANGLE)
-        get_len(TRIANGLE, 0b1, 0, 0, table)
-        assert reconstruct_path(table, 0b1, 0, 0) == [0]
+        get_len_arc(TRIANGLE, 0b1, 0, 0, table)
+        assert reconstruct_arc(table, 0b1, 0, 0) == [0]
 
     def test_missing_entry(self):
         with pytest.raises(TableLookupError):
-            reconstruct_path(DpTable(TRIANGLE), 0b111, 0, 2)
+            reconstruct_arc(DpTable(TRIANGLE), 0b111, 1, 5)
 
     def test_reconstruction_matches_length_everywhere(self):
         for g in random_cases(10, max_m=8, base=900):
@@ -333,10 +320,13 @@ class TestReconstruct:
             S = g.full_edge_set
             for v in range(m):
                 for u in range(m):
-                    val = get_len(g, S, v, u, table)
+                    val = edge_len(g, S, v, u, table)
                     if val is None or v == u:
                         continue
-                    trail = reconstruct_path(table, S, v, u)
+                    # The first of (v, u)'s arc pairs that reaches L(S, v, u).
+                    a, b = next((a, b) for a in g.arcs_of(v) for b in g.arcs_of(u)
+                                if get_len_arc(g, S, a, b, table) == val)
+                    trail = reconstruct_arc(table, S, a, b)
                     assert len(trail) == val
                     assert trail[0] == v and trail[-1] == u
                     assert validate_trail(g, trail).ok

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -291,3 +292,30 @@ class TestRandomGraph:
     def test_endpoints_in_range(self):
         g = random_graph(5, 20, 3)
         assert all(0 <= u < 5 and 0 <= v < 5 for u, v in g.edges)
+
+    def test_matches_the_row_walk(self):
+        # The closed-form row equals a walk over the rows of the unordered
+        # pairs (u, u..n-1), the form the generator had before.
+        def row_walk(n, m, seed):
+            rng = random.Random(seed)
+            edges = []
+            for _ in range(m):
+                k, u, row = rng.randrange(n * (n + 1) // 2), 0, n
+                while k >= row:
+                    k, u, row = k - row, u + 1, row - 1
+                edges.append((u, u + k))
+            return tuple(edges)
+
+        rnd = random.Random(5)
+        cases = [(n, 30, n) for n in range(1, 160)]
+        cases += [(rnd.randint(1, 5000), rnd.randint(0, 30), rnd.randrange(1 << 30))
+                  for _ in range(300)]
+        for n, m, seed in cases:
+            assert random_graph(n, m, seed).edges == row_walk(n, m, seed), (n, m, seed)
+
+    def test_huge_vertex_count_is_fast(self):
+        start = time.perf_counter()
+        g = random_graph(10**12, 30, 0)
+        assert time.perf_counter() - start < 0.5
+        assert g.edge_count == 30
+        assert all(0 <= u <= v < 10**12 for u, v in g.edges)

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from longtrail.dp import DpTable, full_dp_longest_trail, get_len, precompute_layer, LayerSpec
+from longtrail.dp import DpTable, full_dp_longest_trail, precompute_layer, LayerSpec
 from longtrail.graphs import (
     Graph,
     SizeLimitError,
@@ -29,6 +29,8 @@ from longtrail.hybrid import (
     solve_recursive,
     theoretical_costs,
 )
+
+from edge_level import edge_len
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -188,7 +190,7 @@ class TestSolveRecursive:
             for v in range(9):
                 for u in range(9):
                     val, wit = solve_recursive(ctx, S, v, u)
-                    assert val == get_len(g, S, v, u, table), (g, v, u)
+                    assert val == edge_len(g, S, v, u, table), (g, v, u)
                     if val is not None and v != u:
                         trail = reconstruct_from_witness(wit, ctx.table)
                         assert len(trail) == val

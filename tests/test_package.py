@@ -7,6 +7,15 @@ import longtrail
 
 
 def test_all_names_resolve():
+    # The public surface, spelled out so that removing a name is a deliberate edit.
+    assert set(longtrail.__all__) == {
+        "Graph", "GraphFormatError", "HybridConfig", "OracleResult", "QueryLedger",
+        "SizeLimitError", "SolveResult", "TrailVerdict", "boosted",
+        "constrained_longest_bruteforce", "exhaustive", "full_dp_longest_trail",
+        "longest_trail_bruteforce", "parse_graph", "predict_deterministic_queries",
+        "random_graph", "serialize_graph", "solve_hybrid", "theoretical_costs",
+        "validate_trail",
+    }
     for name in longtrail.__all__:
         assert getattr(longtrail, name) is not None, name
     namespace: dict = {}
@@ -19,15 +28,17 @@ def test_all_names_resolve():
 
 _REJECTING_RUN = """
 import sys
-from longtrail import bruteforce, dp
+from longtrail import bruteforce, dp, hybrid
 from longtrail.graphs import Graph, TrailVerdict
 
 assert sys.flags.optimize
 reject = lambda g, trail: TrailVerdict(False, "rejected")
 bruteforce.validate_trail = reject
 dp.validate_trail = reject
+hybrid.validate_trail = reject
 g = Graph(3, ((0, 1), (1, 2), (2, 0)))
-for engine in (bruteforce.longest_trail_bruteforce, dp.full_dp_longest_trail):
+solve = lambda g: hybrid.solve_hybrid(g, hybrid.HybridConfig())
+for engine in (bruteforce.longest_trail_bruteforce, dp.full_dp_longest_trail, solve):
     try:
         engine(g)
     except AssertionError:
@@ -44,4 +55,4 @@ def test_engines_check_trails_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", _REJECTING_RUN], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["raised", "raised"]
+    assert out.stdout.split() == ["raised", "raised", "raised"]

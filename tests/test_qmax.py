@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtrail.qmax import (
-    QueryLedger,
-    ValueOracle,
-    boosted_qmax,
-    grover_stage_cost,
-    qmax_durr_hoyer,
-    qmax_exhaustive,
-)
+from longtrail.qmax import QueryLedger, boosted, exhaustive, grover_stage_cost
 
 
 def shuffled_range(n, seed):
     vals = list(range(n))
     random.Random(seed).shuffle(vals)
     return vals
+
+
+def single(values, seed, budget_constant=23.0):
+    """One unboosted threshold-search run on a fresh seeded stream."""
+    return boosted(values, 1, random.Random(seed).random, budget_constant)
 
 
 class TestStageCost:
@@ -35,196 +33,120 @@ class TestStageCost:
 
 class TestExhaustive:
     def test_scan(self):
-        led = QueryLedger()
-        out = qmax_exhaustive(ValueOracle.from_values([3, 1, 4, 1, 5]), led)
-        assert (out.value, out.witness_index, out.queries_charged) == (5, 4, 5)
-        assert led.total == 5
+        assert exhaustive([3, 1, 4, 1, 5]) == (5, 4, 5)
 
     def test_all_none(self):
-        out = qmax_exhaustive(ValueOracle.from_values([None, None]), QueryLedger())
-        assert out.value is None and out.witness_index is None
-        assert out.queries_charged == 2
+        # The caller's "no value" (-1 here, 0 in the hybrid) is an ordinary
+        # value to the search; the scan still charges every index.
+        assert exhaustive([-1, -1]) == (-1, 0, 2)
 
     def test_singleton(self):
-        out = qmax_exhaustive(ValueOracle.from_values([7]), QueryLedger())
-        assert (out.value, out.witness_index, out.queries_charged) == (7, 0, 1)
+        assert exhaustive([7]) == (7, 0, 1)
 
     def test_smallest_witness_on_ties(self):
-        out = qmax_exhaustive(ValueOracle.from_values([2, 9, 9, 9]), QueryLedger())
-        assert out.witness_index == 1
+        assert exhaustive([2, 9, 9, 9])[1] == 1
 
 
 class TestDurrHoyer:
     def test_single_element(self):
-        out = qmax_durr_hoyer(
-            ValueOracle.from_values([4]), random.Random(0), QueryLedger()
-        )
-        assert out.value == 4 and out.witness_index == 0
-        assert out.queries_charged >= 1
+        value, index, charged = single([4], 0)
+        assert (value, index) == (4, 0)
+        assert charged >= 1
 
     def test_all_equal_costs_one_query(self):
         for seed in range(30):
-            out = qmax_durr_hoyer(
-                ValueOracle.from_values([6] * 10), random.Random(seed), QueryLedger()
-            )
-            assert out.value == 6
-            assert out.queries_charged == 1
+            value, _, charged = single([6] * 10, seed)
+            assert value == 6
+            assert charged == 1
 
     def test_success_rate_n256(self):
         hits = 0
         for seed in range(400):
-            out = qmax_durr_hoyer(
-                ValueOracle.from_values(shuffled_range(256, seed)),
-                random.Random(seed * 31 + 7),
-                QueryLedger(),
-            )
-            hits += out.value == 255
+            hits += single(shuffled_range(256, seed), seed * 31 + 7)[0] == 255
         assert hits / 400 >= 0.9
 
     def test_generous_budget_always_finds_max(self):
         # The threshold can only move strictly upward, so without a budget
         # stop the run must end at the true maximum.
         for seed in range(60):
-            vals = shuffled_range(40, seed)
-            out = qmax_durr_hoyer(
-                ValueOracle.from_values(vals),
-                random.Random(seed),
-                QueryLedger(),
-                budget_constant=1e9,
-            )
-            assert out.value == 39
+            assert single(shuffled_range(40, seed), seed, budget_constant=1e9)[0] == 39
 
     def test_tiny_budget_still_returns_genuine_element(self):
         for seed in range(60):
             vals = shuffled_range(64, seed)
-            out = qmax_durr_hoyer(
-                ValueOracle.from_values(vals),
-                random.Random(seed),
-                QueryLedger(),
-                budget_constant=0.5,
-            )
-            assert out.value in vals
-            assert vals[out.witness_index] == out.value
+            value, index, _ = single(vals, seed, budget_constant=0.5)
+            assert vals[index] == value
 
 
 class TestBoosted:
     def test_repeats_one_equals_single_run(self):
         vals = shuffled_range(64, 5)
-        o = ValueOracle.from_values(vals)
-        a = boosted_qmax(o, 1, random.Random(77), QueryLedger())
-        b = qmax_durr_hoyer(o, random.Random(77), QueryLedger())
-        assert a == b
+        assert boosted(vals, 1, random.Random(77).random, 23.0) == single(vals, 77)
 
     def test_boosting_success_rate(self):
         hits = 0
         for seed in range(300):
-            out = boosted_qmax(
-                ValueOracle.from_values(shuffled_range(256, seed)),
-                8,
-                random.Random(seed),
-                QueryLedger(),
-            )
-            hits += out.value == 255
+            hits += boosted(shuffled_range(256, seed), 8, random.Random(seed).random, 23.0)[0] == 255
         assert hits / 300 >= 0.999
 
     def test_all_none_absorbs(self):
-        out = boosted_qmax(
-            ValueOracle.from_values([None] * 6), 5, random.Random(1), QueryLedger()
-        )
-        assert out.value is None and out.witness_index is None
-        assert out.queries_charged == 5  # one initial sample per repeat
+        value, index, charged = boosted([-1] * 6, 5, random.Random(1).random, 23.0)
+        assert value == -1 and 0 <= index < 6
+        assert charged == 5  # one initial sample per repeat
 
     def test_charges_sum_over_repeats(self):
-        led = QueryLedger()
-        out = boosted_qmax(
-            ValueOracle.from_values(shuffled_range(128, 3)),
-            6,
-            random.Random(9),
-            led,
-            level=2,
-        )
-        assert led.per_level == {"level2": out.queries_charged}
+        # Repeats are single runs on consecutive segments of one stream: the
+        # charges add up and the first best outcome wins.
+        vals = shuffled_range(128, 3)
+        rnd = random.Random(9).random
+        runs = [boosted(vals, 1, rnd, 23.0) for _ in range(6)]
+        value, index, charged = boosted(vals, 6, random.Random(9).random, 23.0)
+        assert charged == sum(run[2] for run in runs)
+        assert (value, index) == max(runs, key=lambda run: run[0])[:2]
 
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
-            boosted_qmax(
-                ValueOracle.from_values([1]), 0, random.Random(0), QueryLedger()
-            )
+            boosted([1], 0, random.Random(0).random, 23.0)
 
 
-values_strategy = st.lists(
-    st.one_of(st.none(), st.integers(0, 50)), min_size=1, max_size=40
-)
+values_strategy = st.lists(st.integers(-1, 50), min_size=1, max_size=40)
 
 
 class TestOneSidedError:
     @settings(max_examples=120)
     @given(values_strategy, st.integers(0, 2**32), st.floats(0.3, 30.0))
     def test_outcome_is_genuine(self, vals, seed, budget_constant):
-        out = qmax_durr_hoyer(
-            ValueOracle.from_values(vals),
-            random.Random(seed),
-            QueryLedger(),
-            budget_constant=budget_constant,
-        )
-        real = [v for v in vals if v is not None]
-        if out.value is None:
-            assert out.witness_index is None
-        else:
-            assert vals[out.witness_index] == out.value
-            assert out.value <= max(real)
+        value, index, _ = single(vals, seed, budget_constant)
+        assert vals[index] == value
+        assert value <= max(vals)
 
     @settings(max_examples=60)
     @given(values_strategy, st.integers(0, 2**32))
     def test_boosting_never_hurts(self, vals, seed):
-        o = ValueOracle.from_values(vals)
-        single = qmax_durr_hoyer(o, random.Random(seed), QueryLedger())
-        boosted = boosted_qmax(o, 6, random.Random(seed), QueryLedger())
-        if single.value is not None:
-            assert boosted.value is not None
-            assert boosted.value >= single.value
+        value = boosted(vals, 6, random.Random(seed).random, 23.0)[0]
+        assert value >= single(vals, seed)[0]
 
 
 class TestLedger:
     def test_replay_is_identical(self):
         vals = shuffled_range(512, 11)
-        runs = []
-        for _ in range(2):
-            led = QueryLedger()
-            out = boosted_qmax(
-                ValueOracle.from_values(vals), 4, random.Random(42), led, level=1
-            )
-            runs.append((out, led.per_level))
+        runs = [boosted(vals, 4, random.Random(42).random, 23.0) for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_total_is_sum(self):
-        led = QueryLedger()
-        led.charge(0, 5)
-        led.charge("level1", 7)
-        led.charge(0, 2)
-        assert led.per_level == {"level0": 7, "level1": 7}
+        led = QueryLedger({"level1": 7, "level0": 7})
         assert led.total == 14
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ValueError):
-            QueryLedger().charge(0, -1)
+        assert led.as_dict() == {"total": 14, "per_level": {"level0": 7, "level1": 7}}
 
 
 class TestValueOracle:
+    """The value sequence a search queries."""
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            ValueOracle.from_values([])
-
-    def test_numpy_values(self):
-        import numpy as np
-
-        arr = np.random.default_rng(0).permutation(256)
-        out = qmax_durr_hoyer(
-            ValueOracle.from_values(arr), random.Random(3), QueryLedger()
-        )
-        assert out.value == 255
-        out = qmax_exhaustive(ValueOracle.from_values(arr), QueryLedger())
-        assert (out.value, out.witness_index) == (255, int(np.argmax(arr)))
+            exhaustive([])
+        with pytest.raises(ValueError):
+            boosted(b"", 1, random.Random(0).random, 23.0)
 
 
 _TIES = [3, 7, 7, 1, 7, 0, 2, 7, 5, 7, 6, 7]
@@ -253,18 +175,11 @@ _GOLDEN = [
 
 
 def test_golden_outcomes():
-    """Exact (value, index, charged) of seeded searches, recorded from
-    `qmax_exhaustive` and `boosted_qmax` (and, for bytes, which those do not
-    take, from the `_exhaustive` and `_boosted` cores the hybrid calls)."""
-    from longtrail.qmax import _boosted, _exhaustive
-
+    """Exact (value, index, charged) of seeded searches.  The tuples were
+    recorded from the wrappers these cores replaced, `qmax_exhaustive` and
+    `boosted_qmax` (and, for bytes, which those did not take, from the cores
+    as the hybrid called them)."""
     for values, repeats, seed, budget, want in _GOLDEN:
-        if isinstance(values, bytes):
-            got = (_exhaustive(values) if repeats is None
-                   else _boosted(values, repeats, random.Random(seed).random, budget))
-        else:
-            out = (qmax_exhaustive(ValueOracle(values), QueryLedger()) if repeats is None
-                   else boosted_qmax(ValueOracle(values), repeats, random.Random(seed),
-                                     QueryLedger(), budget_constant=budget))
-            got = (out.value, out.witness_index, out.queries_charged)
-        assert tuple(got) == want, (values, repeats, seed, budget)
+        got = (exhaustive(values) if repeats is None
+               else boosted(values, repeats, random.Random(seed).random, budget))
+        assert got == want, (values, repeats, seed, budget)
