@@ -453,11 +453,18 @@ class TestWitnessReconstruction:
 
 
 class TestLedgerPrediction:
-    @pytest.mark.parametrize("m,seed", [(6, 2), (8, 5), (9, 11)])
-    def test_deterministic_counts_match(self, m, seed):
+    # (m, seed[, alpha]): m = 6-9 and 11 have a size at two recursion depths
+    # at the default alpha; at alpha = 0.5, size 3 sits at depths 2, 3 and 4.
+    @pytest.mark.parametrize(
+        "case",
+        [(6, 2), (8, 5), (9, 11), (7, 3), (10, 4), (11, 7), (11, 7, 0.5), (12, 9, 0.5)],
+        ids=lambda case: "-".join(map(str, case)),
+    )
+    def test_deterministic_counts_match(self, case):
+        m, seed, alpha = (*case, 0.055)[:3]
         g = random_graph(m // 2 + 1, m, seed)
-        res = solve_hybrid(g, DET)
-        assert res.ledger.per_level == predict_deterministic_queries(g)
+        res = solve_hybrid(g, HybridConfig(alpha=alpha))
+        assert res.ledger.per_level == predict_deterministic_queries(g, alpha)
 
     def test_prediction_independent_of_values(self):
         # Counts depend only on the graph's shape parameters, never on
