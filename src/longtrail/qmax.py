@@ -24,6 +24,7 @@ records what the idealized quantum search would have paid.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -58,6 +59,8 @@ def exhaustive(values: Sequence) -> tuple:
 
 
 _COST_TABLES: dict[int, list[int]] = {}
+# Below this many distinct values, one `count` scan per class beats a Counter.
+_COUNT_CLASSES = 64
 
 
 def _stage_costs(N: int) -> list[int]:
@@ -71,7 +74,7 @@ def _stage_costs(N: int) -> list[int]:
 
 def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
     """Bounded-error search: `repeats` threshold-search trajectories over one
-    sequence of mutually comparable values.
+    sequence of hashable, mutually comparable values.
 
     `rnd` is a bound `Random.random` method; repeats consume disjoint
     segments of that stream.  Returns (value, witness_index, charged_total)
@@ -79,38 +82,45 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
     makes boosting safe: a repeat can only improve the value, and repeats=1
     is a single Durr-Hoyer run.
 
-    The trajectory walks ranks of the descending value order: the initial
-    uniform index sample is taken directly in rank space (a bijection of
-    index space), each stage jumps uniformly into the strictly-better prefix
-    and charges the modeled Grover cost for its size, and a stage whose cost
-    would overrun the query budget aborts the run with the current (genuine,
-    possibly non-maximal) element.
+    The trajectory walks ranks of the descending value order, ties by index:
+    the initial uniform index sample is taken directly in rank space (a
+    bijection of index space), each stage jumps uniformly into the
+    strictly-better prefix and charges the modeled Grover cost for its size,
+    and a stage whose cost would overrun the query budget aborts the run with
+    the current (genuine, possibly non-maximal) element.  Ranks are mapped
+    through value classes, not a sort: a rank's class gives its value and
+    the size of the strictly-better prefix, and the winner is the matching
+    occurrence of its value.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     N = len(values)
     if not N:
         raise ValueError("search needs at least one value")
-    first = values[0]
-    if values.count(first) == N:
+    classes = sorted(set(values), reverse=True)
+    if len(classes) == 1:
         # No value beats any sample: each repeat draws its start and stops,
-        # and the first repeat's index is the outcome.
+        # and the first repeat's index is the outcome.  The other repeats'
+        # draws are skipped: random() takes two 32-bit words of the stream.
         r = int(rnd() * N)
         if r >= N:
             r = N - 1
-        for _ in range(repeats - 1):
-            rnd()
-        return first, r, repeats
+        rnd.__self__.getrandbits(64 * (repeats - 1))
+        return values[r], r, repeats
+    # Per rank: its class's value and first rank (the strictly-better count).
+    if len(classes) == N:
+        svals, greater = classes, list(range(N))
+    else:
+        tally = values.count if len(classes) < _COUNT_CLASSES else Counter(values).__getitem__
+        svals, greater = [], []
+        for value in classes:
+            count = tally(value)
+            greater += [len(svals)] * count
+            svals += [value] * count
     budget = budget_constant * math.ceil(math.sqrt(N))
-    # Stable reverse sort: descending by value, ties by original index.
-    order = sorted(range(N), key=values.__getitem__, reverse=True)
-    svals = [values[i] for i in order]
-    greater = [0] * N
-    for r in range(1, N):
-        greater[r] = greater[r - 1] if svals[r] == svals[r - 1] else r
     costs = _stage_costs(N)
     best_rank = -1
-    best_val = first
+    best_val = svals[0]
     total = 0
     for _ in range(repeats):
         r = int(rnd() * N)
@@ -132,4 +142,8 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
         if best_rank < 0 or val > best_val:
             best_rank = r
             best_val = val
-    return best_val, order[best_rank], total
+    # The winner is the j-th occurrence of its value, j its rank in its class.
+    index = values.index(best_val)
+    for _ in range(best_rank - greater[best_rank]):
+        index = values.index(best_val, index + 1)
+    return values[index], index, total

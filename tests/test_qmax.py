@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from longtrail.qmax import QueryLedger, boosted, exhaustive, grover_stage_cost
 
+from boosted_reference import sorted_boosted
+
 
 def shuffled_range(n, seed):
     vals = list(range(n))
@@ -183,3 +185,30 @@ def test_golden_outcomes():
         got = (exhaustive(values) if repeats is None
                else boosted(values, repeats, random.Random(seed).random, budget))
         assert got == want, (values, repeats, seed, budget)
+
+
+# Up to 400 values in a few classes (as the hybrid's bytes), in many, or all
+# distinct.
+search_values = st.one_of(
+    st.tuples(st.integers(1, 400), st.sampled_from([1, 3, 40, 1000])).flatmap(
+        lambda nk: st.lists(st.integers(0, nk[1] - 1), min_size=nk[0], max_size=nk[0])),
+    st.integers(1, 400).flatmap(lambda n: st.permutations(range(n))),
+)
+
+
+class TestMatchesSortingReference:
+    @settings(max_examples=300)
+    @given(
+        search_values,
+        st.booleans(),
+        st.integers(1, 30),
+        st.sampled_from([0.5, 2.0, 23.0, 1e9]),
+        st.integers(0, 2**32),
+    )
+    def test_same_outcome_and_stream(self, vals, as_bytes, repeats, budget_constant, seed):
+        vals = bytes(vals) if as_bytes and max(vals) < 256 else list(vals)
+        got_rnd, want_rnd = random.Random(seed), random.Random(seed)
+        got = boosted(vals, repeats, got_rnd.random, budget_constant)
+        want = sorted_boosted(vals, repeats, want_rnd.random, budget_constant)
+        assert got == want
+        assert got_rnd.random() == want_rnd.random()
