@@ -94,11 +94,11 @@ class DpTable:
     `rows` is the hybrid's state memo: per edge set S, a list indexed by
     rank(v) * |S| + rank(u) (e's rank: its position among S's edges) of the
     cells of (S, v, u): 4 bytes, byte i*2 + j = L(S, arc(v, i), arc(u, j)),
-    0 for "no walk"; None marks a state not solved yet.  The diagonal holds
+    0 for "no walk"; None marks a cell not filled yet.  The diagonal holds
     single-edge cells; a last entry holds S.  Padding contract: a loop has
     only orientation 0, so slots i = 1 of a loop v and j = 1 of a loop u
     hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
-    hybrid adds the states above.  Equal cells are one object (`intern`).
+    hybrid fills those of its chain's sizes.  Equal cells are one object (`intern`).
     `splits[S]` (S above the layer) holds at (rank(u) * (rank(u) - 1) / 2 +
     rank(v)) * 4 + slot, v < u, the winning candidate's pattern index; -1: no
     walk or no solve.

@@ -13,19 +13,18 @@ concatenation walkable.  The recursion bottoms out in table lookups once
 Each maximization runs through one query-counting qmax search bound per
 run: `qmax.exhaustive` in deterministic mode (results provably equal to the
 full DP), `qmax.boosted` threshold searches on the seeded stream in
-stochastic mode.  A state's charges land in a QueryLedger under the depth at
-which it is first reached.  States are solved once per run and memoized
-(with no object per state, see DpTable), so stochastic references to a state
-share one realization (re-running nested searches per reference is not simulable).
+stochastic mode.  States are solved once per run and memoized (with no
+object per state, see DpTable), so stochastic references to a state share
+one realization (re-running nested searches per reference is not simulable).
 
-Candidates depend on S only through |S| and the endpoints' ranks in S, so
-they come from a rank-space pattern (`_pattern`).  A state gathers all its
-candidates' half cells through it, combines them at once as 8-bit lanes of
-Python ints (`_combine`) and hands each searched slot's lanes to the search
-as bytes.  Missing halves are solved first, in candidate order: the
-depth-first order that the per-depth charges and the stochastic stream
-depend on.  A witness (S, first arc, last arc) is rebuilt by chaining down to the
-layer, each winner read from its state's pattern.
+All states (S, v < u) with |S| on the full set's split chain are solved
+bottom-up, smallest size first, so halves precede their states: sets in
+`combinations` order, then pair rank, then slot, the order of the stochastic
+stream.  A state's charges land in the QueryLedger under the depth at which
+the depth-first recursion first reaches it (`_first_depths`).  Candidates
+come from rank-space patterns (`_pattern`); a chunk of sets gathers each
+rank pair's half cells and combines them as 8-bit lanes of ints (`_combine`).
+A witness (S, first arc, last arc) is rebuilt by chaining down to the layer.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, islice, repeat
-from operator import getitem, is_, itemgetter, or_
+from itertools import chain, combinations, islice
+from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
-from .graphs import Graph, bits_of, check_edge_budget, rank_in, validate_trail
+from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
 from .qmax import QueryLedger, boosted, exhaustive
 
 HYBRID_DET_MAX_EDGES = 20
@@ -83,27 +82,20 @@ class SolveResult:
 
 
 class SolveContext:
-    """Per-run solver state: the table and its memo, the ledger, each solved
-    set's edges and subset rows (`halves`), and the one search every
-    maximization runs, values -> (value, index, charged): the exhaustive
-    scan, or boosted trajectories on the seeded stream."""
+    """Per-run solver state: the table and its memo, the ledger, and the one
+    search every maximization runs, values -> (value, index, charged): the
+    exhaustive scan, or boosted trajectories on the seeded stream."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
         self.table = table
         self.k_pre = table.k_pre
         self.ledger = QueryLedger()
-        self.halves: dict = {}
         self.search = exhaustive
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
-            rnd = random.Random(cfg.seed).random
-            bconst = cfg.budget_constant
-
-            def search(values: Sequence) -> tuple:
-                return boosted(values, repeats, rnd, bconst)
-
-            self.search = search
+            rnd, bconst = random.Random(cfg.seed).random, cfg.budget_constant
+            self.search = lambda values: boosted(values, repeats, rnd, bconst)
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -171,8 +163,8 @@ def _lane_masks(n: int) -> tuple[int, ...]:
     return cells * 0x80808080, cells * 0x7F7F7F7F, cells * 0xFF00FF, cells * 0xFFFF
 
 
-def _combine(left: bytes, right: bytes, slots: list[int]) -> list[bytes]:
-    """Per output slot a*2 + b, the byte per candidate max over the pivot
+def _combine(left: bytes, right: bytes) -> list[bytes]:
+    """Per slot a*2 + b, the byte per candidate max over the pivot
     orientation c of left[a, c] + right[c, b] - 1, or 0 where no c pairs two
     walks; `left` and `right` are the candidates' cells end to end.
 
@@ -193,7 +185,7 @@ def _combine(left: bytes, right: bytes, slots: list[int]) -> list[bytes]:
     x, y = pair
     ge = (((x | high) - y) & high) >> 7
     lanes = (y ^ ((x ^ y) & ge * 0xFF)).to_bytes(n, "little")
-    return [lanes[slot::4] for slot in slots]
+    return [lanes[slot::4] for slot in range(4)]
 
 
 # By endpoint arc counts: the slots searched (orientations both have; the rest
@@ -208,70 +200,114 @@ _ORIENT = {
 }
 
 
-def _solve_state(ctx: SolveContext, row: list, v: int, u: int, rv: int, ru: int, depth: int):
-    """Solve the state (S = row[-1], v, u) above the layer, v and u at ranks rv
-    and ru in S: memoize its cells under both endpoint orders and winners."""
-    lo, hi, rlo, rhi = (v, u, rv, ru) if rv < ru else (u, v, ru, rv)
-    S = row[-1]
-    size = S.bit_count()
-    h = _split_size(size, ctx.k_pre)
-    sidx, lslot, tidx, rslot, prank, pick_left, pick_right = _pattern(size, h, rlo, rhi)
-    # S's edges and the rows of its h- and (|S| - h + 1)-subsets, which the
-    # pattern indexes.
-    if S not in ctx.halves:
-        bits = list(bits_of(S))
-        ctx.halves[S] = [bits] + [
-            list(map(ctx.table.row, _subsets(bits, k))) for k in (h, size - h + 1)]
-    bits, left_rows, right_rows = ctx.halves[S]
-    lcells = list(map(getitem, pick_left(left_rows), lslot))
-    rcells = list(map(getitem, pick_right(right_rows), rslot))
-    try:
-        left, right = b"".join(lcells), b"".join(rcells)
-    except TypeError:
-        # Solve missing halves in candidate order, left before right: the
-        # order that fixes charged depths and the stochastic stream.
-        missing = map(or_, map(is_, lcells, repeat(None)), map(is_, rcells, repeat(None)))
-        for k in compress(range(len(lcells)), missing):
-            y = bits[prank[k]]
-            if left_rows[sidx[k]][lslot[k]] is None:  # not solved meanwhile
-                _solve_state(ctx, left_rows[sidx[k]], lo, y, *divmod(lslot[k], h), depth + 1)
-            if right_rows[tidx[k]][rslot[k]] is None:
-                _solve_state(ctx, right_rows[tidx[k]], y, hi,
-                             *divmod(rslot[k], size - h + 1), depth + 1)
-        left = b"".join(map(getitem, pick_left(left_rows), lslot))
-        right = b"".join(map(getitem, pick_right(right_rows), rslot))
+@lru_cache(maxsize=64)
+def _split_chain(m: int, k_pre: int) -> dict[int, tuple[int, ...]]:
+    """Each set size above the layer that splitting m edges reaches, smallest
+    first, with the recursion depths it sits at."""
+    depths: dict[int, set[int]] = {}
+    todo = [(m, 0)]
+    for size, depth in todo:  # grows as it goes
+        if size > k_pre:
+            depths.setdefault(size, set()).add(depth)
+            h = _split_size(size, k_pre)
+            todo += [(h, depth + 1), (size - h + 1, depth + 1)]
+    return {size: tuple(sorted(depths[size])) for size in sorted(depths)}
 
-    slots, transpose = _ORIENT[ctx.graph.arc_count[lo], ctx.graph.arc_count[hi]]
-    vals, total = bytearray(4), 0
-    winners, base = ctx.table.splits[S], (rhi * (rhi - 1) // 2 + rlo) * 4
-    for slot, values in zip(slots, _combine(left, right, slots)):
-        val, idx, charged = ctx.search(values)
-        total += charged
-        if val:
-            vals[slot], winners[base + slot] = val, idx
-    charges, key = ctx.ledger.per_level, _LEVELS[depth]
-    charges[key] = charges.get(key, 0) + total
-    row[rlo * size + rhi] = ctx.table.intern(bytes(vals))
-    row[rhi * size + rlo] = ctx.table.intern(bytes(transpose(vals)))
+
+@lru_cache(maxsize=64)
+def _first_depths(m: int, k_pre: int) -> dict[int, int]:
+    """Per state (S, v, u), keyed S << m | 1 << v | 1 << u, the depth where the
+    depth-first recursion (the full set's pairs v < u in order, then each
+    state's candidates, left half first) first reaches it: (m, k_pre) fix it."""
+    first: dict[int, int] = {}
+    subsets: dict[int, tuple] = {}
+
+    def visit(S: int, lo: int, hi: int, depth: int) -> None:
+        lo, hi = min(lo, hi), max(lo, hi)
+        size = S.bit_count()
+        h = _split_size(size, k_pre)
+        if S not in subsets:  # no list of halves on the layer: none is visited
+            bits = list(bits_of(S))
+            subsets[S] = bits, *(k > k_pre and _subsets(bits, k) for k in (h, size - h + 1))
+        bits, lefts, rights = subsets[S]
+        sidx, _, tidx, _, prank = _pattern(size, h, rank_in(S, lo), rank_in(S, hi))[:5]
+        for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
+            if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in first:
+                first[key] = depth + 1
+                visit(lefts[i], lo, y, depth + 1)
+            if rights and y != hi and (key := rights[j] << m | 1 << y | 1 << hi) not in first:
+                first[key] = depth + 1
+                visit(rights[j], y, hi, depth + 1)
+
+    for v, u in combinations(range(m), 2):
+        visit((1 << m) - 1, v, u, 0)
+    sizes = _split_chain(m, k_pre)  # keep the sizes at several depths
+    return {key: d for key, d in first.items() if len(sizes[(key >> m).bit_count()]) > 1}
+
+
+_CHUNK = 32  # sets per batched gather and combine; the search order ignores it
+
+
+def _solve_chain(ctx: SolveContext) -> None:
+    """Search every state of the split chain's sizes: smallest size first, then
+    sets in `combinations(range(m), size)` order, pair rank and slot.  A chunk
+    of sets gathers and combines each rank pair's candidates at once."""
+    g, table, k_pre, m = ctx.graph, ctx.table, ctx.k_pre, ctx.graph.edge_count
+    chain_sizes = _split_chain(m, k_pre)
+    first = any(len(d) > 1 for d in chain_sizes.values()) and _first_depths(m, k_pre)
+    rows, charges = table.rows, ctx.ledger.per_level
+    for size, depths in chain_sizes.items():
+        h = _split_size(size, k_pre)
+        pairs = [(rlo, rhi) for rhi in range(1, size) for rlo in range(rhi)]
+        sets = combinations(range(m), size)
+        while chunk := list(islice(sets, _CHUNK)):
+            # Per set, the rows of its h- and (size - h + 1)-subsets, which
+            # the patterns index; per pair, all the chunk's cells at once.
+            lefts, rights = ([list(map(rows.__getitem__, _subsets(bits, k))) for bits in chunk]
+                             for k in (h, size - h + 1))
+            lanes = []
+            for rlo, rhi in pairs:
+                _, lslot, _, rslot, _, pick_left, pick_right = _pattern(size, h, rlo, rhi)
+                left = chain.from_iterable(map(getitem, pick_left(r), lslot) for r in lefts)
+                right = chain.from_iterable(map(getitem, pick_right(r), rslot) for r in rights)
+                lanes.append(_combine(b"".join(left), b"".join(right)))
+            for i, bits in enumerate(chunk):
+                S = edge_set(bits)
+                row, winners = table.row(S), table.splits[S]
+                levels = [first[S << m | 1 << bits[rlo] | 1 << bits[rhi]]
+                          for rlo, rhi in pairs] if len(depths) > 1 else depths * len(pairs)
+                for pair, ((rlo, rhi), lane) in enumerate(zip(pairs, lanes)):
+                    n = len(lane[0]) // len(chunk)
+                    slots, transpose = _ORIENT[g.arc_count[bits[rlo]], g.arc_count[bits[rhi]]]
+                    vals, total = bytearray(4), 0
+                    for slot in slots:
+                        val, idx, charged = ctx.search(lane[slot][i * n:(i + 1) * n])
+                        total += charged
+                        if val:
+                            vals[slot], winners[pair * 4 + slot] = val, idx
+                    key = _LEVELS[levels[pair]]
+                    charges[key] = charges.get(key, 0) + total
+                    row[rlo * size + rhi] = table.intern(bytes(vals))
+                    row[rhi * size + rlo] = table.intern(bytes(transpose(vals)))
 
 
 def solve_recursive(
     ctx: SolveContext, S: int, v: int, u: int, level: int = 0
 ) -> tuple[int | None, Witness | None]:
-    """L(S, v, u) through the split recursion, with its witness state.
-
-    Membership guards return None without recursing; v == u short-circuits to
-    the single-edge walk; sets on the precomputed layer resolve by lookup.
-    """
+    """L(S, v, u) read from the memo, with its witness state; None if v or u
+    is not in S.  The first set above the layer runs `_solve_chain` (`level`
+    is unused); a set neither on the layer nor of a chain size is a ValueError."""
     if not (S >> v & 1 and S >> u & 1):
         return None, None
     if v == u:
         return 1, (S, 2 * v, 2 * v)
-    row, rv, ru = ctx.table.row(S), rank_in(S, v), rank_in(S, u)
-    idx = rv * S.bit_count() + ru
-    if row[idx] is None:
-        _solve_state(ctx, row, v, u, rv, ru, level)
-    cell = row[idx]
+    size = S.bit_count()
+    if S not in ctx.table.rows:
+        sizes = list(_split_chain(m := ctx.graph.edge_count, ctx.k_pre))
+        if size not in sizes or S >> m:
+            raise ValueError(f"set {S:#x} is neither on the layer nor of a chain size {sizes}")
+        _solve_chain(ctx)
+    cell = ctx.table.rows[S][rank_in(S, v) * size + rank_in(S, u)]
     best = max(cell)
     if not best:
         return None, None
@@ -297,10 +333,8 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     h = _split_size(size, table.k_pre)
     # The winner's columns in the pattern; S' unranked in rank space.
     i, ls, _, rs, r = (col[k] for col in _pattern(size, h, rank_v, rank_u)[:5])
-    ranks = sum(next(islice(combinations([1 << p for p in range(size)], h), i, None)))
     bits = list(bits_of(S))
-    y = bits[r]
-    S1 = sum(1 << bits[p] for p in bits_of(ranks))
+    S1, y = _subsets(bits, h)[i], bits[r]
     T = S & ~S1 | 1 << y
     target = table.cell(S, v, u)[ai * 2 + bi]
     lf, rf = table.rows[S1][ls], table.rows[T][rs]

@@ -59,8 +59,6 @@ def exhaustive(values: Sequence) -> tuple:
 
 
 _COST_TABLES: dict[int, list[int]] = {}
-# Below this many distinct values, one `count` scan per class beats a Counter.
-_COUNT_CLASSES = 64
 
 
 def _stage_costs(N: int) -> list[int]:
@@ -82,15 +80,12 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
     makes boosting safe: a repeat can only improve the value, and repeats=1
     is a single Durr-Hoyer run.
 
-    The trajectory walks ranks of the descending value order, ties by index:
-    the initial uniform index sample is taken directly in rank space (a
-    bijection of index space), each stage jumps uniformly into the
-    strictly-better prefix and charges the modeled Grover cost for its size,
-    and a stage whose cost would overrun the query budget aborts the run with
-    the current (genuine, possibly non-maximal) element.  Ranks are mapped
-    through value classes, not a sort: a rank's class gives its value and
-    the size of the strictly-better prefix, and the winner is the matching
-    occurrence of its value.
+    The trajectory walks ranks of the descending value order (ties by index,
+    ranks read off value classes): the initial uniform index sample is taken
+    directly in rank space (a bijection of index space), each stage jumps
+    uniformly into the strictly-better prefix and charges the modeled Grover
+    cost for its size, and a stage whose cost would overrun the query budget
+    aborts the run with the current (genuine, possibly non-maximal) element.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -102,21 +97,17 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
         # No value beats any sample: each repeat draws its start and stops,
         # and the first repeat's index is the outcome.  The other repeats'
         # draws are skipped: random() takes two 32-bit words of the stream.
-        r = int(rnd() * N)
-        if r >= N:
-            r = N - 1
+        r = min(int(rnd() * N), N - 1)
         rnd.__self__.getrandbits(64 * (repeats - 1))
         return values[r], r, repeats
     # Per rank: its class's value and first rank (the strictly-better count).
-    if len(classes) == N:
-        svals, greater = classes, list(range(N))
-    else:
-        tally = values.count if len(classes) < _COUNT_CLASSES else Counter(values).__getitem__
-        svals, greater = [], []
-        for value in classes:
-            count = tally(value)
-            greater += [len(svals)] * count
-            svals += [value] * count
+    # A count scan per class, unless so many classes that one Counter is cheaper.
+    tally = values.count if len(classes) < 64 else Counter(values).__getitem__
+    svals, greater = [], []
+    for value in classes:
+        count = tally(value)
+        greater += [len(svals)] * count
+        svals += [value] * count
     budget = budget_constant * math.ceil(math.sqrt(N))
     costs = _stage_costs(N)
     best_rank = -1

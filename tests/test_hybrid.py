@@ -198,6 +198,48 @@ class TestSolveRecursive:
                         assert validate_trail(g, trail).ok
 
 
+def _chain_sizes(m, k_pre):
+    """The set sizes above the layer that splitting the full set reaches."""
+    sizes, todo = set(), [m]
+    while todo:
+        size = todo.pop()
+        if size > k_pre and size not in sizes:
+            sizes.add(size)
+            h = _split_size(size, k_pre)
+            todo += [h, size - h + 1]
+    return sizes
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_every_chain_state_solved_once(self, mode):
+        # m = 8 and 11 have sizes at two depths, m = 10 and 12 do not.
+        for g in (random_graph(5, 8, 3), random_graph(6, 10, 4), random_graph(4, 11, 5),
+                  random_graph(4, 12, 9)):
+            m = g.edge_count
+            ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=1))
+            solve_recursive(ctx, g.full_edge_set, 0, 1)
+            sizes = _chain_sizes(m, ctx.k_pre)
+            solved = dict.fromkeys(sizes, 0)
+            for S, row in ctx.table.rows.items():
+                size = S.bit_count()
+                if size in sizes:
+                    assert None not in row, (m, S)
+                    solved[size] += size * (size - 1) // 2
+                    assert len(ctx.table.splits[S]) == 2 * size * (size - 1)
+            assert solved == {s: math.comb(m, s) * math.comb(s, 2) for s in sizes}
+
+    def test_set_off_the_chain_is_rejected(self):
+        g = random_graph(5, 8, 3)
+        ctx = SolveContext.create(g, DET)
+        assert ctx.k_pre == 2 and _chain_sizes(8, 2) == {3, 4, 5, 8}
+        for S in (0b111111, 0b1111111, 1 << 8 | 0b111):
+            with pytest.raises(ValueError) as err:
+                solve_recursive(ctx, S, 0, 1)
+            assert "\n" not in str(err.value)
+        assert not ctx.ledger.per_level  # nothing was solved
+
+
 class TestPaddingContract:
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
     @pytest.mark.parametrize("g", [LOOPS_7, LOOPS_5], ids=["loops7", "loops5"])
@@ -395,7 +437,6 @@ class TestCombine:
                 got = _combine(
                     b"".join(left for left, _ in batch),
                     b"".join(right for _, right in batch),
-                    [0, 1, 2, 3],
                 )
                 for slot in range(4):
                     a, b = slot >> 1, slot & 1
