@@ -254,7 +254,7 @@ def _solve_chain(ctx: SolveContext) -> None:
     of sets gathers and combines each rank pair's candidates at once."""
     g, table, k_pre, m = ctx.graph, ctx.table, ctx.k_pre, ctx.graph.edge_count
     chain_sizes = _split_chain(m, k_pre)
-    first = any(len(d) > 1 for d in chain_sizes.values()) and _first_depths(m, k_pre)
+    first = _first_depths(m, k_pre) if any(len(d) > 1 for d in chain_sizes.values()) else {}
     rows, charges = table.rows, ctx.ledger.per_level
     for size, depths in chain_sizes.items():
         h = _split_size(size, k_pre)
