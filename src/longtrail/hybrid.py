@@ -245,7 +245,7 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
     return {key: d for key, d in first.items() if len(sizes[(key >> m).bit_count()]) > 1}
 
 
-_CHUNK = 32  # sets per batched gather and combine; the search order ignores it
+_CHUNK = 128  # sets per batched gather and combine; the search order ignores it
 
 
 def _solve_chain(ctx: SolveContext) -> None:

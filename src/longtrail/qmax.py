@@ -24,7 +24,7 @@ records what the idealized quantum search would have paid.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -72,7 +72,7 @@ def _stage_costs(N: int) -> list[int]:
 
 def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
     """Bounded-error search: `repeats` threshold-search trajectories over one
-    sequence of hashable, mutually comparable values.
+    sequence of mutually comparable values.
 
     `rnd` is a bound `Random.random` method; repeats consume disjoint
     segments of that stream.  Returns (value, witness_index, charged_total)
@@ -92,22 +92,21 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
     N = len(values)
     if not N:
         raise ValueError("search needs at least one value")
-    classes = sorted(set(values), reverse=True)
-    if len(classes) == 1:
+    if values.count(values[0]) == N:
         # No value beats any sample: each repeat draws its start and stops,
         # and the first repeat's index is the outcome.  The other repeats'
         # draws are skipped: random() takes two 32-bit words of the stream.
         r = min(int(rnd() * N), N - 1)
         rnd.__self__.getrandbits(64 * (repeats - 1))
         return values[r], r, repeats
-    # Per rank: its class's value and first rank (the strictly-better count).
-    # A count scan per class, unless so many classes that one Counter is cheaper.
-    tally = values.count if len(classes) < 64 else Counter(values).__getitem__
-    svals, greater = [], []
-    for value in classes:
-        count = tally(value)
-        greater += [len(svals)] * count
-        svals += [value] * count
+    # Per rank of the descending order: its value, and its class's first rank
+    # (the strictly-better count), found per class, best first, by bisection.
+    asc = sorted(values)
+    svals, greater, hi = asc[::-1], [], N
+    while hi:
+        lo = bisect_left(asc, asc[hi - 1], 0, hi)
+        greater += [N - hi] * (hi - lo)
+        hi = lo
     budget = budget_constant * math.ceil(math.sqrt(N))
     costs = _stage_costs(N)
     best_rank = -1
