@@ -241,6 +241,7 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
 
     for v, u in combinations(range(m), 2):
         visit((1 << m) - 1, v, u, 0)
+    del visit  # the closure refers to itself: free `first` and `subsets` now, not at a gc
     sizes = _split_chain(m, k_pre)  # keep the sizes at several depths
     return {key: d for key, d in first.items() if len(sizes[(key >> m).bit_count()]) > 1}
 
@@ -425,6 +426,7 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
     for v in range(m):
         for u in range(v + 1, m):
             visit(g.full_edge_set, v, u, 0)
+    del visit  # as in `_first_depths`
     return dict(per_level)
 
 

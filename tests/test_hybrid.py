@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import combinations, product
@@ -519,6 +520,26 @@ class TestLedgerPrediction:
             p1 = predict_deterministic_queries(g1)
             p2 = predict_deterministic_queries(g2)
             assert sum(p1.values()) == sum(p2.values())
+
+    def test_walks_free_their_memos_on_return(self):
+        # The structural walks memoize every state they reach; a reference
+        # cycle through their recursive closure would keep that memo alive
+        # until a full collection (about 1 MB for each walk here), so with
+        # gc off a collection afterwards must find nothing to free.
+        g = random_graph(6, 11, 7)
+        walks = {
+            "predict": lambda: predict_deterministic_queries(g),
+            "first_depths": lambda: hybrid._first_depths.__wrapped__(11, LayerSpec.for_graph(11).k_pre),
+        }
+        for name, walk in walks.items():
+            walk()  # fills the process-wide pattern caches
+            gc.collect()
+            gc.disable()
+            try:
+                walk()
+            finally:
+                gc.enable()
+            assert gc.collect() == 0, name
 
 
 class TestTheoreticalCosts:
