@@ -22,8 +22,10 @@ bottom-up, smallest size first, so halves precede their states: sets in
 `combinations` order, then pair rank, then slot, the order of the stochastic
 stream.  A state's charges land in the QueryLedger under the depth at which
 the depth-first recursion first reaches it (`_first_depths`).  Candidates
-come from rank-space patterns (`_pattern`); a chunk of sets gathers each
-rank pair's half cells and combines them as 8-bit lanes of ints (`_combine`).
+come from rank-space patterns (`_patterns`), built from one table of subsets
+per (size, h) (`_RankTable`).  A chunk of sets lays each set's half rows end
+to end, picks each rank pair's cells from them through the pattern's flat
+indexes, and combines them as 8-bit lanes of ints (`_combine`).
 A witness (S, first arc, last arc) is rebuilt by chaining down to the layer.
 """
 
@@ -33,10 +35,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, islice
-from operator import getitem, itemgetter
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from itertools import chain, combinations, islice, repeat
+from operator import add, itemgetter, mul
+from typing import Callable, Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
@@ -115,44 +117,99 @@ def _subsets(edges: Sequence[int], k: int) -> list[int]:
     return list(map(sum, combinations([1 << p for p in edges], k)))
 
 
-def _split_candidates(size: int, h: int, rlo: int, rhi: int):
-    """Split candidates (S', y, T) of (S, lo, hi) in rank space (|S| = size, ends at
-    ranks rlo < rhi): S' as a mask, y, (lo, y)'s slot in S''s row, (y, hi)'s in T's.
-    S' runs over the h-subsets holding lo in combinations order of the other ranks,
-    with y = hi if it holds hi (other pivots strand hi), else y = lo, then the rest."""
-    t = size - h + 1
-    bit = [1 << r for r in range(size)]
-    for combo in combinations([r for r in range(size) if r != rlo], h - 1):
-        S1 = bit[rlo] + sum(map(bit.__getitem__, combo))
-        # A rank's position in S' counts the members below it; in T, the
-        # ranks below it less that.
-        lo_row = (S1 & (bit[rlo] - 1)).bit_count() * h
-        hi_right = rhi - (S1 & (bit[rhi] - 1)).bit_count()
-        for y in (rhi,) if S1 & bit[rhi] else (rlo, *combo):
-            y_left = (S1 & (bit[y] - 1)).bit_count()
-            yield S1, y, lo_row + y_left, (y - y_left) * t + hi_right + (y < rhi)
+class _RankTable:
+    """The h-subsets S' of `size` ranks in combinations order, which the
+    patterns of (size, h) are read from: per subset its ranks and mask, and per
+    member position p the index of T = (complement of S') | {member p} among
+    the (size - h + 1)-subsets and (member - p) * t, the member's row offset
+    in T; per rank, the subsets that hold it and its position in each."""
+
+    def __init__(self, size: int, h: int):
+        t = size - h + 1
+        self.h, self.t = h, t
+        self.ranks = list(combinations(range(size), h))
+        self.masks = _subsets(range(size), h)
+        right = {mask: i for i, mask in enumerate(_subsets(range(size), t))}
+        full = (1 << size) - 1
+        self.tidx = [tuple([right[full ^ mask | 1 << r] for r in combo])
+                     for combo, mask in zip(self.ranks, self.masks)]
+        self.toff = [tuple([(r - p) * t for p, r in enumerate(combo)]) for combo in self.ranks]
+        self.holders = [[] for _ in range(size)]
+        self.positions = [[] for _ in range(size)]
+        for i, combo in enumerate(self.ranks):
+            for q, r in enumerate(combo):
+                self.holders[r].append(i)
+                self.positions[r].append(q)
+        # Per position q of lo: a block's member positions, lo's first.
+        self.orders = [(q, *range(q), *range(q + 1, h)) for q in range(h)]
+        self.pick = [itemgetter(*order) for order in self.orders]
+        self.lslots = [tuple([q * h + p for p in order]) for q, order in enumerate(self.orders)]
 
 
-def _build_pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
-    """`_split_candidates` as columns, S' and T as indexes into S's `_subsets` of h and
-    of size - h + 1 edges; then those two as itemgetters (of >= 2: tuples)."""
-    full = (1 << size) - 1
-    left_index = {mask: i for i, mask in enumerate(_subsets(range(size), h))}
-    right_index = {mask: i for i, mask in enumerate(_subsets(range(size), size - h + 1))}
-    sidx, lslot, tidx, rslot, prank = zip(*[
-        (left_index[S1], ls, right_index[full ^ S1 | 1 << y], rs, y)
-        for S1, y, ls, rs in _split_candidates(size, h, rlo, rhi)])
-    return sidx, lslot, tidx, rslot, prank, itemgetter(*sidx), itemgetter(*tidx)
+def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] = None) -> tuple:
+    """The split candidates (S', y) of a state (S, lo, hi) in rank space (ends
+    at ranks rlo < rhi), as columns: S''s index among the h-subsets, (lo, y)'s
+    slot in S''s row, T = (S \\ S') | {y}'s index among the (|S| - h + 1)-subsets,
+    (y, hi)'s slot in T's row, and y; then two itemgetters of the candidates'
+    cells from a set's rows of h-, and of (|S| - h + 1)-subsets, laid end to
+    end.  S' runs over the subsets holding lo; each is one candidate y = hi if
+    it holds hi (other pivots strand hi), else a block y = lo, then the rest.
+    A cell's index there is sidx * (h * h + 1) + lslot on the left (a row
+    has h * h cells, then its set) and tidx * (t * t + 1) + rslot on the
+    right (a pattern has at least 3 candidates, so both return tuples).
+    `ints`, if given, holds the getters' index objects, one per value."""
+    h, t, ranks, masks, tidx, toff = table.h, table.t, table.ranks, table.masks, table.tidx, table.toff
+    pick, lslots = table.pick, table.lslots
+    # T holds y, the non-members below it and hi; with c members below hi,
+    # (y, hi)'s slot is (y - p) * t + hi - c + (y < hi), and y < hi iff p < c.
+    offsets = [[tuple([rhi - c + (p < c) for p in order]) for c in range(h + 1)]
+               for order in table.orders]
+    columns = sidx, lslot, tid, rslot, prank = [], [], [], [], []
+    hi_bit = 1 << rhi
+    for i, q in zip(table.holders[rlo], table.positions[rlo]):
+        mask = masks[i]
+        c = (mask & hi_bit - 1).bit_count()
+        if mask & hi_bit:
+            sidx.append(i)
+            lslot.append(q * h + c)
+            tid.append(tidx[i][c])
+            rslot.append((rhi - c) * (t + 1))
+            prank.append(rhi)
+        else:
+            order = pick[q]
+            sidx.extend(repeat(i, h))
+            lslot.extend(lslots[q])
+            tid.extend(order(tidx[i]))
+            rslot.extend(map(add, order(toff[i]), offsets[q][c]))
+            prank.extend(order(ranks[i]))
+    flat_left = map(add, map(mul, sidx, repeat(h * h + 1)), lslot)
+    flat_right = map(add, map(mul, tid, repeat(t * t + 1)), rslot)
+    if ints is not None:
+        flat_left, flat_right = map(ints.__getitem__, flat_left), map(ints.__getitem__, flat_right)
+    return (*map(tuple, columns), itemgetter(*flat_left), itemgetter(*flat_right))
 
 
 _KEPT = HYBRID_DET_MAX_EDGES // 2 + 1  # the most edges of a set below the full one
-_kept_pattern = lru_cache(maxsize=4096)(_build_pattern)
+_INTS: list[int] = []  # kept patterns' getter indexes: one int object per value, not per use
 
 
-def _pattern(size: int, h: int, rlo: int, rhi: int) -> tuple:
-    """`_build_pattern`, kept for the process up to _KEPT edges: the patterns
-    that recur across states and solves.  A larger full set's serve one state."""
-    return (_kept_pattern if size <= _KEPT else _build_pattern)(size, h, rlo, rhi)
+@lru_cache(maxsize=64)
+def _kept_patterns(size: int, h: int) -> Callable[[int, int], tuple]:
+    t = size - h + 1
+    ends = math.comb(size, h) * (h * h + 1), math.comb(size, t) * (t * t + 1)
+    _INTS.extend(range(len(_INTS), max(ends)))
+    return lru_cache(maxsize=None)(partial(_build_pattern, _RankTable(size, h), ints=_INTS))
+
+
+def _patterns(size: int, h: int) -> Callable[[int, int], tuple]:
+    """(rlo, rhi) -> `_build_pattern` of sets of `size` edges split at h, from
+    one `_RankTable`.  Up to _KEPT edges the table and its patterns are kept
+    for the process: they recur across states and solves.  A larger full
+    set's serve the caller (one solve or walk) and each pattern one use; its
+    table grows towards 20 edges, where keeping it would cost most."""
+    if size <= _KEPT:
+        return _kept_patterns(size, h)
+    return partial(_build_pattern, _RankTable(size, h))
 
 
 @lru_cache(maxsize=64)
@@ -221,6 +278,8 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
     state's candidates, left half first) first reaches it: (m, k_pre) fix it."""
     first: dict[int, int] = {}
     subsets: dict[int, tuple] = {}
+    sizes = _split_chain(m, k_pre)
+    patterns = {size: _patterns(size, _split_size(size, k_pre)) for size in sizes}
 
     def visit(S: int, lo: int, hi: int, depth: int) -> None:
         lo, hi = min(lo, hi), max(lo, hi)
@@ -230,7 +289,7 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
             bits = list(bits_of(S))
             subsets[S] = bits, *(k > k_pre and _subsets(bits, k) for k in (h, size - h + 1))
         bits, lefts, rights = subsets[S]
-        sidx, _, tidx, _, prank = _pattern(size, h, rank_in(S, lo), rank_in(S, hi))[:5]
+        sidx, _, tidx, _, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:5]
         for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
             if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in first:
                 first[key] = depth + 1
@@ -242,11 +301,11 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
     for v, u in combinations(range(m), 2):
         visit((1 << m) - 1, v, u, 0)
     del visit  # the closure refers to itself: free `first` and `subsets` now, not at a gc
-    sizes = _split_chain(m, k_pre)  # keep the sizes at several depths
+    # Keep the sizes at several depths.
     return {key: d for key, d in first.items() if len(sizes[(key >> m).bit_count()]) > 1}
 
 
-_CHUNK = 128  # sets per batched gather and combine; the search order ignores it
+_CHUNK = 32  # sets per batched gather and combine; the search order ignores it
 
 
 def _solve_chain(ctx: SolveContext) -> None:
@@ -259,19 +318,22 @@ def _solve_chain(ctx: SolveContext) -> None:
     rows, charges = table.rows, ctx.ledger.per_level
     for size, depths in chain_sizes.items():
         h = _split_size(size, k_pre)
+        pattern = _patterns(size, h)
         pairs = [(rlo, rhi) for rhi in range(1, size) for rlo in range(rhi)]
         sets = combinations(range(m), size)
         while chunk := list(islice(sets, _CHUNK)):
-            # Per set, the rows of its h- and (size - h + 1)-subsets, which
-            # the patterns index; per pair, all the chunk's cells at once.
-            lefts, rights = ([list(map(rows.__getitem__, _subsets(bits, k))) for bits in chunk]
-                             for k in (h, size - h + 1))
+            # Per set, the rows of its h- and of its (size - h + 1)-subsets
+            # end to end, which the patterns' getters index; per pair, all
+            # the chunk's cells at once.
+            lefts, rights = (
+                [list(chain.from_iterable(map(rows.__getitem__, _subsets(bits, k)))) for bits in chunk]
+                for k in (h, size - h + 1))
             lanes = []
             for rlo, rhi in pairs:
-                _, lslot, _, rslot, _, pick_left, pick_right = _pattern(size, h, rlo, rhi)
-                left = chain.from_iterable(map(getitem, pick_left(r), lslot) for r in lefts)
-                right = chain.from_iterable(map(getitem, pick_right(r), rslot) for r in rights)
-                lanes.append(_combine(b"".join(left), b"".join(right)))
+                pick_left, pick_right = pattern(rlo, rhi)[5:]
+                left = b"".join(chain.from_iterable(map(pick_left, lefts)))
+                right = b"".join(chain.from_iterable(map(pick_right, rights)))
+                lanes.append(_combine(left, right))
             for i, bits in enumerate(chunk):
                 S = edge_set(bits)
                 row, winners = table.row(S), table.splits[S]
@@ -333,7 +395,7 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     k = table.splits[S][(rank_u * (rank_u - 1) // 2 + rank_v) * 4 + ai * 2 + bi]
     h = _split_size(size, table.k_pre)
     # The winner's columns in the pattern; S' unranked in rank space.
-    i, ls, _, rs, r = (col[k] for col in _pattern(size, h, rank_v, rank_u)[:5])
+    i, ls, _, rs, r = (col[k] for col in _patterns(size, h)(rank_v, rank_u)[:5])
     bits = list(bits_of(S))
     S1, y = _subsets(bits, h)[i], bits[r]
     T = S & ~S1 | 1 << y
@@ -401,12 +463,15 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
     seen: set[int] = set()
     subsets: dict[int, tuple] = {}
     per_level: Counter = Counter()
+    patterns: dict[int, Callable] = {}
 
     def visit(S: int, lo: int, hi: int, depth: int) -> None:
         lo, hi = min(lo, hi), max(lo, hi)
         size = S.bit_count()
         h = _split_size(size, k_pre)
-        sidx, _, tidx, _, prank = _pattern(size, h, rank_in(S, lo), rank_in(S, hi))[:5]
+        if size not in patterns:
+            patterns[size] = _patterns(size, h)
+        sidx, _, tidx, _, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:5]
         per_level[_LEVELS[depth]] += g.arc_count[lo] * g.arc_count[hi] * len(sidx)
         if size - h + 1 <= k_pre:  # then h <= k_pre too: both halves on the layer
             return

@@ -20,7 +20,7 @@ from longtrail.hybrid import (
     HYBRID_STOCH_MAX_EDGES,
     HybridConfig,
     SolveContext,
-    _pattern,
+    _patterns,
     _combine,
     _split_size,
     _subsets,
@@ -379,11 +379,13 @@ def _rank(S, e):
 class TestCandidatePattern:
     def test_patterns_map_onto_the_reference_enumeration(self):
         # On a set whose edges are spread out, each rank-space pattern must
-        # give the reference's candidates in the reference's order, and
-        # slots that address (lo, y) and (y, hi) in the halves' rows.
+        # give the reference's candidates in the reference's order, slots
+        # that address (lo, y) and (y, hi) in the halves' rows, and getters
+        # that pick exactly those cells from the halves' rows laid end to end.
+        # The full sets of 12 and 13 edges (default alpha) are not kept.
         rnd = random.Random(7)
         splits = _reached_splits(14, (0.055, 0.3, 0.5, 0.6, 0.9))
-        assert (14, 7) in splits and (5, 3) in splits
+        assert {(14, 7), (13, 6), (12, 6), (5, 3)} <= splits
         for size, h in sorted(splits):
             t = size - h + 1
             S = (1 << size) - 1
@@ -391,20 +393,26 @@ class TestCandidatePattern:
                 S = edge_set(rnd.sample(range(2 * size + 1), size))
             bits = list(bits_of(S))
             left_sets, right_sets = _subsets(bits, h), _subsets(bits, t)
+            # A row like DpTable's: a distinct cell per slot, then its set.
+            left_rows = [cell for X in left_sets for cell in [(X, s) for s in range(h * h)] + [X]]
+            right_rows = [cell for X in right_sets for cell in [(X, s) for s in range(t * t)] + [X]]
+            pattern = _patterns(size, h)
             for rlo in range(size):
                 for rhi in range(rlo + 1, size):
                     lo, hi = bits[rlo], bits[rhi]
                     want = _reference_candidates(S, lo, hi, h)
-                    sidx, lslot, tidx, rslot, prank, pick_left, pick_right = _pattern(
-                        size, h, rlo, rhi
-                    )
+                    sidx, lslot, tidx, rslot, prank, pick_left, pick_right = pattern(rlo, rhi)
                     got = [
                         (left_sets[i], bits[r], right_sets[j])
                         for i, r, j in zip(sidx, prank, tidx)
                     ]
                     assert got == want, (size, h, rlo, rhi)
-                    assert pick_left(left_sets) == tuple(S1 for S1, _, _ in want)
-                    assert pick_right(right_sets) == tuple(T for _, _, T in want)
+                    assert pick_left(left_rows) == tuple(
+                        (S1, _rank(S1, lo) * h + _rank(S1, y)) for S1, y, _ in want
+                    )
+                    assert pick_right(right_rows) == tuple(
+                        (T, _rank(T, y) * t + _rank(T, hi)) for _, y, T in want
+                    )
                     for (S1, y, T), ls, rs in zip(want, lslot, rslot):
                         assert ls == _rank(S1, lo) * h + _rank(S1, y)
                         assert rs == _rank(T, y) * t + _rank(T, hi)
