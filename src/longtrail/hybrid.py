@@ -122,7 +122,7 @@ class _RankTable:
     patterns of (size, h) are read from: per subset its ranks and mask, and per
     member position p the index of T = (complement of S') | {member p} among
     the (size - h + 1)-subsets and (member - p) * t, the member's row offset
-    in T; per rank, the subsets that hold it and its position in each."""
+    in T; per rank, the subsets that hold it."""
 
     def __init__(self, size: int, h: int):
         t = size - h + 1
@@ -135,11 +135,9 @@ class _RankTable:
                      for combo, mask in zip(self.ranks, self.masks)]
         self.toff = [tuple([(r - p) * t for p, r in enumerate(combo)]) for combo in self.ranks]
         self.holders = [[] for _ in range(size)]
-        self.positions = [[] for _ in range(size)]
         for i, combo in enumerate(self.ranks):
-            for q, r in enumerate(combo):
+            for r in combo:
                 self.holders[r].append(i)
-                self.positions[r].append(q)
         # Per position q of lo: a block's member positions, lo's first.
         self.orders = [(q, *range(q), *range(q + 1, h)) for q in range(h)]
         self.pick = [itemgetter(*order) for order in self.orders]
@@ -160,15 +158,16 @@ def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] =
     `ints`, if given, holds the getters' index objects, one per value."""
     h, t, ranks, masks, tidx, toff = table.h, table.t, table.ranks, table.masks, table.tidx, table.toff
     pick, lslots = table.pick, table.lslots
-    # T holds y, the non-members below it and hi; with c members below hi,
-    # (y, hi)'s slot is (y - p) * t + hi - c + (y < hi), and y < hi iff p < c.
+    # With q members below lo and c below hi, lo has position q in S'.  T
+    # holds y, the non-members below it and hi, so the member y at position p
+    # has (y, hi)'s slot at (y - p) * t + hi - c + (y < hi), and y < hi iff p < c.
     offsets = [[tuple([rhi - c + (p < c) for p in order]) for c in range(h + 1)]
                for order in table.orders]
     columns = sidx, lslot, tid, rslot, prank = [], [], [], [], []
-    hi_bit = 1 << rhi
-    for i, q in zip(table.holders[rlo], table.positions[rlo]):
+    lo_below, hi_bit = (1 << rlo) - 1, 1 << rhi
+    for i in table.holders[rlo]:
         mask = masks[i]
-        c = (mask & hi_bit - 1).bit_count()
+        q, c = (mask & lo_below).bit_count(), (mask & hi_bit - 1).bit_count()
         if mask & hi_bit:
             sidx.append(i)
             lslot.append(q * h + c)

@@ -382,7 +382,8 @@ class TestCandidatePattern:
         # give the reference's candidates in the reference's order, slots
         # that address (lo, y) and (y, hi) in the halves' rows, and getters
         # that pick exactly those cells from the halves' rows laid end to end.
-        # The full sets of 12 and 13 edges (default alpha) are not kept.
+        # (12, 6) and (13, 6), the full sets at the default alpha, are above
+        # _KEPT: their patterns come from a table made for the call.
         rnd = random.Random(7)
         splits = _reached_splits(14, (0.055, 0.3, 0.5, 0.6, 0.9))
         assert {(14, 7), (13, 6), (12, 6), (5, 3)} <= splits
