@@ -5,11 +5,7 @@ precomputes a classical layer and drives the rest through simulated quantum
 maximum finding with exact query accounting.
 """
 
-from .bruteforce import (
-    OracleResult,
-    constrained_longest_bruteforce,
-    longest_trail_bruteforce,
-)
+from .bruteforce import OracleResult, longest_trail_bruteforce
 from .dp import full_dp_longest_trail
 from .graphs import (
     Graph,
@@ -44,7 +40,6 @@ __all__ = [
     "SolveResult",
     "TrailVerdict",
     "boosted",
-    "constrained_longest_bruteforce",
     "exhaustive",
     "full_dp_longest_trail",
     "longest_trail_bruteforce",

@@ -7,9 +7,7 @@ with the DP or hybrid solvers.
 
 The only concession to speed is a symmetry prune: edges with identical
 endpoint pairs are interchangeable inside a walk, so among unused parallel
-copies only the lowest-indexed one is extended.  For the constrained variant
-the required last edge is exempted from the prune (it is pinned to a specific
-position, so it may not be swapped for a parallel sibling).
+copies only the lowest-indexed one is extended.
 """
 
 from __future__ import annotations
@@ -88,48 +86,3 @@ def longest_trail_bruteforce(g: Graph) -> OracleResult:
     if not verdict.ok:
         raise AssertionError(f"oracle produced an invalid trail: {verdict.reason}")
     return OracleResult(best_len, tuple(best))
-
-
-def constrained_longest_bruteforce(g: Graph, S: int, v: int, u: int) -> int | None:
-    """Exact length of the longest walk inside edge-set S with first edge v
-    and last edge u, or None when no such walk exists.
-
-    "Inside S" is subset semantics: the walk may use any edges of S, not
-    necessarily all of them.
-    """
-    m = g.edge_count
-    check_edge_budget(m, BRUTE_FORCE_MAX_EDGES, "brute-force oracle")
-    if not (0 <= v < m and 0 <= u < m):
-        raise IndexError("edge index out of range")
-    if not (S >> v & 1 and S >> u & 1):
-        return None
-    groups, keys = _class_groups(g)
-    edges = g.edges
-    vmasks = g.vertex_edge_masks
-    best: int | None = None
-    depth = 0
-
-    def extend(head: int, used: int) -> None:
-        nonlocal best, depth
-        avail = vmasks[head] & S & ~used
-        while avail:
-            low = avail & -avail
-            e = low.bit_length() - 1
-            avail ^= low
-            # Parallel-copy prune, except the pinned final edge u.
-            if e != u and _first_unused(groups[keys[e]], used | 1 << u, S) != e:
-                continue
-            a, b = edges[e]
-            depth += 1
-            if e == u and depth > (best or 0):
-                best = depth
-            extend(b if a == head else a, used | 1 << e)
-            depth -= 1
-
-    a, b = edges[v]
-    depth = 1
-    if v == u:
-        best = 1
-    for head in (b, a) if a != b else (a,):
-        extend(head, 1 << v)
-    return best

@@ -98,7 +98,8 @@ class DpTable:
     single-edge cells; a last entry holds S.  Padding contract: a loop has
     only orientation 0, so slots i = 1 of a loop v and j = 1 of a loop u
     hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
-    hybrid fills those of its chain's sizes.  Equal cells are one object (`intern`).
+    hybrid fills those of its chain's sizes.  Equal cells are one object, the
+    one `cells` maps them to.
     `splits[S]` (S above the layer) holds at (rank(u) * (rank(u) - 1) / 2 +
     rank(v)) * 4 + slot, v < u, the winning candidate's pattern index; -1: no
     walk or no solve.
@@ -111,12 +112,8 @@ class DpTable:
         self.entries: dict[int, tuple[int | None, int | None]] = {}
         self.rows: dict[int, list] = {}
         self._single = [_SINGLE_EDGE[n] for n in g.arc_count]
-        self._cells: dict[bytes, bytes] = {}
+        self.cells: dict[bytes, bytes] = {}
         self.splits: dict[int, array] = {}
-
-    def intern(self, cell: bytes) -> bytes:
-        """The table's one object equal to `cell`."""
-        return self._cells.setdefault(cell, cell)
 
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b
@@ -206,7 +203,8 @@ def precompute_layer(
                 for ai, a in enumerate(g.arcs_of(v)):
                     for bi, b in enumerate(g.arcs_of(u)):
                         cell[ai * 2 + bi] = get_len_arc(g, S, a, b, table) or 0
-                row[i * k + j] = table.intern(bytes(cell))
+                cell = bytes(cell)
+                row[i * k + j] = table.cells.setdefault(cell, cell)
     return table
 
 

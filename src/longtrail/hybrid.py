@@ -10,9 +10,10 @@ pivot.  Sharing the pivot *arc* between the halves is what keeps the
 concatenation walkable.  The recursion bottoms out in table lookups once
 |S| <= k_pre.
 
-Each maximization runs through one query-counting qmax search bound per
-run: `qmax.exhaustive` in deterministic mode (results provably equal to the
-full DP), `qmax.boosted` threshold searches on the seeded stream in
+Each maximization runs through one query-counting search bound per run:
+in deterministic mode the max and its first index with a charge of one
+query per candidate, as `qmax.exhaustive` gives them (results provably equal
+to the full DP), `qmax.boosted` threshold searches on the seeded stream in
 stochastic mode.  States are solved once per run and memoized (with no
 object per state, see DpTable), so stochastic references to a state share
 one realization (re-running nested searches per reference is not simulable).
@@ -25,8 +26,10 @@ the depth-first recursion first reaches it (`_first_depths`).  Candidates
 come from rank-space patterns (`_patterns`), built from one table of subsets
 per (size, h) (`_RankTable`).  A chunk of sets lays each set's half rows end
 to end, picks each rank pair's cells from them through the pattern's flat
-indexes, and combines them as 8-bit lanes of ints (`_combine`).
-A witness (S, first arc, last arc) is rebuilt by chaining down to the layer.
+indexes, and combines them as 8-bit lanes of ints (`_combine`); in
+deterministic mode one fold of those lanes gives every set's maxima
+(`_fold_maxima`).  A witness (S, first arc, last arc) is rebuilt by
+chaining down to the layer.
 """
 
 from __future__ import annotations
@@ -35,14 +38,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, combinations, islice, repeat
-from operator import add, itemgetter, mul
+from functools import lru_cache, partial, reduce
+from itertools import combinations, islice, repeat
+from operator import add, iadd, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
-from .qmax import QueryLedger, boosted, exhaustive
+from .qmax import QueryLedger, boosted
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -67,8 +70,8 @@ class HybridConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.repeats_per_level is not None and self.repeats_per_level < 1:
             raise ValueError("repeats_per_level must be at least 1")
-        if self.budget_constant <= 0:
-            raise ValueError("budget_constant must be positive")
+        if not self.budget_constant > 0:  # nan too: no stage would ever exceed the budget
+            raise ValueError(f"budget_constant must be positive, got {self.budget_constant}")
 
 
 # (S, first arc, last arc): the state whose stored walk realizes a value.
@@ -85,19 +88,20 @@ class SolveResult:
 
 class SolveContext:
     """Per-run solver state: the table and its memo, the ledger, and the one
-    search every maximization runs, values -> (value, index, charged): the
-    exhaustive scan, or boosted trajectories on the seeded stream."""
+    search every maximization runs, (lanes, n, count) -> find (see
+    `_exhaustive_chunk`): the fold of a chunk's lanes, or boosted trajectories
+    on the seeded stream."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
         self.table = table
         self.k_pre = table.k_pre
         self.ledger = QueryLedger()
-        self.search = exhaustive
+        self.search = _exhaustive_chunk
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
             rnd, bconst = random.Random(cfg.seed).random, cfg.budget_constant
-            self.search = lambda values: boosted(values, repeats, rnd, bconst)
+            self.search = partial(_boosted_chunk, lambda values: boosted(values, repeats, rnd, bconst))
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -146,15 +150,16 @@ class _RankTable:
 
 def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] = None) -> tuple:
     """The split candidates (S', y) of a state (S, lo, hi) in rank space (ends
-    at ranks rlo < rhi), as columns: S''s index among the h-subsets, (lo, y)'s
-    slot in S''s row, T = (S \\ S') | {y}'s index among the (|S| - h + 1)-subsets,
-    (y, hi)'s slot in T's row, and y; then two itemgetters of the candidates'
-    cells from a set's rows of h-, and of (|S| - h + 1)-subsets, laid end to
-    end.  S' runs over the subsets holding lo; each is one candidate y = hi if
-    it holds hi (other pivots strand hi), else a block y = lo, then the rest.
-    A cell's index there is sidx * (h * h + 1) + lslot on the left (a row
-    has h * h cells, then its set) and tidx * (t * t + 1) + rslot on the
-    right (a pattern has at least 3 candidates, so both return tuples).
+    at ranks rlo < rhi), as columns: S''s index among the h-subsets,
+    T = (S \\ S') | {y}'s index among the (|S| - h + 1)-subsets, and y; then
+    two itemgetters of the candidates' cells from a set's rows of h-, and of
+    (|S| - h + 1)-subsets, laid end to end.  S' runs over the subsets holding
+    lo; each is one candidate y = hi if it holds hi (other pivots strand hi),
+    else a block y = lo, then the rest.  A cell's index there is
+    sidx * (h * h + 1) + lslot on the left (a row has h * h cells, then its
+    set; lslot is (lo, y)'s slot in S''s row) and tidx * (t * t + 1) + rslot
+    on the right (rslot is (y, hi)'s slot in T's row; a pattern has at least
+    3 candidates, so both getters return tuples).
     `ints`, if given, holds the getters' index objects, one per value."""
     h, t, ranks, masks, tidx, toff = table.h, table.t, table.ranks, table.masks, table.tidx, table.toff
     pick, lslots = table.pick, table.lslots
@@ -163,7 +168,7 @@ def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] =
     # has (y, hi)'s slot at (y - p) * t + hi - c + (y < hi), and y < hi iff p < c.
     offsets = [[tuple([rhi - c + (p < c) for p in order]) for c in range(h + 1)]
                for order in table.orders]
-    columns = sidx, lslot, tid, rslot, prank = [], [], [], [], []
+    sidx, lslot, tid, rslot, prank = [], [], [], [], []
     lo_below, hi_bit = (1 << rlo) - 1, 1 << rhi
     for i in table.holders[rlo]:
         mask = masks[i]
@@ -185,7 +190,7 @@ def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] =
     flat_right = map(add, map(mul, tid, repeat(t * t + 1)), rslot)
     if ints is not None:
         flat_left, flat_right = map(ints.__getitem__, flat_left), map(ints.__getitem__, flat_right)
-    return (*map(tuple, columns), itemgetter(*flat_left), itemgetter(*flat_right))
+    return tuple(sidx), tuple(tid), tuple(prank), itemgetter(*flat_left), itemgetter(*flat_right)
 
 
 _KEPT = HYBRID_DET_MAX_EDGES // 2 + 1  # the most edges of a set below the full one
@@ -219,17 +224,26 @@ def _lane_masks(n: int) -> tuple[int, ...]:
     return cells * 0x80808080, cells * 0x7F7F7F7F, cells * 0xFF00FF, cells * 0xFFFF
 
 
-def _combine(left: bytes, right: bytes) -> list[bytes]:
-    """Per slot a*2 + b, the byte per candidate max over the pivot
-    orientation c of left[a, c] + right[c, b] - 1, or 0 where no c pairs two
-    walks; `left` and `right` are the candidates' cells end to end.
+def _lane_max(x: int, y: int, high: int) -> int:
+    """The lane-wise max of two ints of 8-bit lanes <= 0x7F (`high` holds
+    0x80 in every lane): (x | 0x80) - y is 0x80 + x - y per lane, borrow-free,
+    so its bit 7 is set iff x >= y, and then its low 7 bits are x - y."""
+    d = (x | high) - y
+    ge = d & high
+    return y + (d & ge - (ge >> 7))
+
+
+def _combine(left: bytes, right: bytes) -> int:
+    """Per candidate k and slot a*2 + b, in byte 4k + a*2 + b of the
+    little-endian int returned, the max over the pivot orientation c of
+    left[a, c] + right[c, b] - 1, or 0 where no c pairs two walks; `left`
+    and `right` are the candidates' cells end to end.
 
     SWAR: each side is one little-endian int, one 8-bit lane per slot.  Lanes
-    stay <= 2 * the edge cap <= 0x7F: adds never carry, + 0x7F sets bit 7 iff
-    a lane is nonzero, and (A | 0x80) - B sets it iff A >= B, borrow-free.
+    stay <= 2 * the edge cap <= 0x7F: adds never carry, and + 0x7F sets bit 7
+    iff a lane is nonzero.
     """
-    n = len(left)
-    high, lift, even, low = _lane_masks(n)
+    high, lift, even, low = _lane_masks(len(left))
     left_int, right_int = int.from_bytes(left, "little"), int.from_bytes(right, "little")
     pair = []
     for c in (0, 1):
@@ -238,10 +252,65 @@ def _combine(left: bytes, right: bytes) -> list[bytes]:
         y = (right_int >> 16 * c & low) * 0x10001
         both = ((x + lift) & (y + lift) & high) >> 7
         pair.append(((x + y) & both * 0xFF) - both)
-    x, y = pair
-    ge = (((x | high) - y) & high) >> 7
-    lanes = (y ^ ((x ^ y) & ge * 0xFF)).to_bytes(n, "little")
-    return [lanes[slot::4] for slot in range(4)]
+    return _lane_max(*pair, high)
+
+
+def _fold_maxima(lanes: int, n: int, high: int) -> int:
+    """A sparse-table fold of `_combine`'s lanes over runs of n candidates:
+    after the step against the int shifted down by 2**j candidates, byte
+    4k + slot holds the max over candidates k .. k + 2**(j + 1) - 1 (those
+    past the end read 0), and a last step shifted by n - 2**j, for the
+    largest 2**j <= n, covers k .. k + n - 1 exactly.  With n candidates per
+    set, byte 4*i*n + slot then holds set i's max in that slot."""
+    span = 1
+    while 2 * span <= n:
+        lanes = _lane_max(lanes, lanes >> 32 * span, high)
+        span *= 2
+    if span < n:
+        lanes = _lane_max(lanes, lanes >> 32 * (n - span), high)
+    return lanes
+
+
+def _slot_lanes(lanes: int, size: int) -> list[bytes]:
+    """`_combine`'s lanes of `size` bytes as bytes, one per slot."""
+    flat = lanes.to_bytes(size, "little")
+    return [flat[slot::4] for slot in range(4)]
+
+
+def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
+    """The deterministic search of `count` sets' lanes, n candidates each:
+    find(i, slots, winners, at) returns set i's cell and its charge, n per
+    searched slot, and writes each searched slot's winner, the first index
+    of a nonzero max, to winners[at + slot], as `qmax.exhaustive` finds
+    them.  Slots not searched hold 0 in every lane (the padding contract)."""
+    size = 4 * n * count
+    maxima = _fold_maxima(lanes, n, _lane_masks(size)[0]).to_bytes(size, "little")
+    cells = [maxima[at:at + 4] for at in range(0, size, 4 * n)]
+    per_slot = _slot_lanes(lanes, size)
+
+    def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
+        cell, start = cells[i], i * n
+        for slot in slots:
+            if val := cell[slot]:
+                winners[at + slot] = per_slot[slot].index(val, start) - start
+        return cell, n * len(slots)
+    return find
+
+
+def _boosted_chunk(search: Callable, lanes: int, n: int, count: int) -> Callable:
+    """`_exhaustive_chunk`'s find with one `search` (values -> value, index,
+    charged) per searched slot, in slot order."""
+    per_slot = _slot_lanes(lanes, 4 * n * count)
+
+    def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
+        vals, total = bytearray(4), 0
+        for slot in slots:
+            val, idx, charged = search(per_slot[slot][i * n:(i + 1) * n])
+            total += charged
+            if val:
+                vals[slot], winners[at + slot] = val, idx
+        return bytes(vals), total
+    return find
 
 
 # By endpoint arc counts: the slots searched (orientations both have; the rest
@@ -288,7 +357,7 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
             bits = list(bits_of(S))
             subsets[S] = bits, *(k > k_pre and _subsets(bits, k) for k in (h, size - h + 1))
         bits, lefts, rights = subsets[S]
-        sidx, _, tidx, _, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:5]
+        sidx, tidx, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:3]
         for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
             if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in first:
                 first[key] = depth + 1
@@ -314,7 +383,10 @@ def _solve_chain(ctx: SolveContext) -> None:
     g, table, k_pre, m = ctx.graph, ctx.table, ctx.k_pre, ctx.graph.edge_count
     chain_sizes = _split_chain(m, k_pre)
     first = _first_depths(m, k_pre) if any(len(d) > 1 for d in chain_sizes.values()) else {}
-    rows, charges = table.rows, ctx.ledger.per_level
+    rows, charges, arc_count = table.rows, ctx.ledger.per_level, g.arc_count
+    intern = table.cells.setdefault
+    # Per orientation, each cell met with its reversed cell, both interned.
+    orient = {key: (slots, transpose, {}) for key, (slots, transpose) in _ORIENT.items()}
     for size, depths in chain_sizes.items():
         h = _split_size(size, k_pre)
         pattern = _patterns(size, h)
@@ -325,32 +397,30 @@ def _solve_chain(ctx: SolveContext) -> None:
             # end to end, which the patterns' getters index; per pair, all
             # the chunk's cells at once.
             lefts, rights = (
-                [list(chain.from_iterable(map(rows.__getitem__, _subsets(bits, k)))) for bits in chunk]
+                [reduce(iadd, map(rows.__getitem__, _subsets(bits, k)), []) for bits in chunk]
                 for k in (h, size - h + 1))
-            lanes = []
+            finds = []
             for rlo, rhi in pairs:
-                pick_left, pick_right = pattern(rlo, rhi)[5:]
-                left = b"".join(chain.from_iterable(map(pick_left, lefts)))
-                right = b"".join(chain.from_iterable(map(pick_right, rights)))
-                lanes.append(_combine(left, right))
+                pick_left, pick_right = pattern(rlo, rhi)[3:]
+                left = b"".join(map(b"".join, map(pick_left, lefts)))
+                right = b"".join(map(b"".join, map(pick_right, rights)))
+                n = len(left) // (4 * len(chunk))  # candidates per state
+                finds.append(ctx.search(_combine(left, right), n, len(chunk)))
             for i, bits in enumerate(chunk):
                 S = edge_set(bits)
                 row, winners = table.row(S), table.splits[S]
                 levels = [first[S << m | 1 << bits[rlo] | 1 << bits[rhi]]
                           for rlo, rhi in pairs] if len(depths) > 1 else depths * len(pairs)
-                for pair, ((rlo, rhi), lane) in enumerate(zip(pairs, lanes)):
-                    n = len(lane[0]) // len(chunk)
-                    slots, transpose = _ORIENT[g.arc_count[bits[rlo]], g.arc_count[bits[rhi]]]
-                    vals, total = bytearray(4), 0
-                    for slot in slots:
-                        val, idx, charged = ctx.search(lane[slot][i * n:(i + 1) * n])
-                        total += charged
-                        if val:
-                            vals[slot], winners[pair * 4 + slot] = val, idx
+                for pair, ((rlo, rhi), find) in enumerate(zip(pairs, finds)):
+                    slots, transpose, known = orient[arc_count[bits[rlo]], arc_count[bits[rhi]]]
+                    cell, total = find(i, slots, winners, pair * 4)
                     key = _LEVELS[levels[pair]]
                     charges[key] = charges.get(key, 0) + total
-                    row[rlo * size + rhi] = table.intern(bytes(vals))
-                    row[rhi * size + rlo] = table.intern(bytes(transpose(vals)))
+                    ends = known.get(cell)
+                    if ends is None:
+                        back = bytes(transpose(cell))
+                        ends = known[cell] = intern(cell, cell), intern(back, back)
+                    row[rlo * size + rhi], row[rhi * size + rlo] = ends
 
 
 def solve_recursive(
@@ -393,13 +463,18 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     ai, bi, rank_v, rank_u = a & 1, b & 1, rank_in(S, v), rank_in(S, u)
     k = table.splits[S][(rank_u * (rank_u - 1) // 2 + rank_v) * 4 + ai * 2 + bi]
     h = _split_size(size, table.k_pre)
-    # The winner's columns in the pattern; S' unranked in rank space.
-    i, ls, _, rs, r = (col[k] for col in _patterns(size, h)(rank_v, rank_u)[:5])
-    bits = list(bits_of(S))
-    S1, y = _subsets(bits, h)[i], bits[r]
+    # The winner's S' and pivot y, in `_build_pattern`'s order: S' runs over
+    # the h-subsets holding v, each one candidate (y = u) if it holds u, else
+    # h (y = v, then S''s other edges).
+    for rest in combinations([e for e in bits_of(S) if e != v], h - 1):
+        pivots = (u,) if u in rest else (v, *rest)
+        if k < len(pivots):
+            break
+        k -= len(pivots)
+    S1, y = edge_set((v, *rest)), pivots[k]
     T = S & ~S1 | 1 << y
     target = table.cell(S, v, u)[ai * 2 + bi]
-    lf, rf = table.rows[S1][ls], table.rows[T][rs]
+    lf, rf = table.cell(S1, v, y), table.cell(T, y, u)
     for c in (0, 1):
         lv, rv = lf[ai * 2 + c], rf[c * 2 + bi]
         if lv and rv and lv + rv - 1 == target:
@@ -470,7 +545,7 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
         h = _split_size(size, k_pre)
         if size not in patterns:
             patterns[size] = _patterns(size, h)
-        sidx, _, tidx, _, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:5]
+        sidx, tidx, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:3]
         per_level[_LEVELS[depth]] += g.arc_count[lo] * g.arc_count[hi] * len(sidx)
         if size - h + 1 <= k_pre:  # then h <= k_pre too: both halves on the layer
             return

@@ -3,10 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from longtrail.bruteforce import (
-    constrained_longest_bruteforce,
-    longest_trail_bruteforce,
-)
+from longtrail.bruteforce import longest_trail_bruteforce
 from longtrail.graphs import (
     Graph,
     SizeLimitError,
@@ -14,6 +11,8 @@ from longtrail.graphs import (
     random_graph,
     validate_trail,
 )
+
+from constrained_oracle import constrained_longest_bruteforce
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))

@@ -102,6 +102,16 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", path, "--engine", "oracle")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_budget_constant_must_be_positive(self, capsys, tmp_path, value):
+        # nan compares false with everything: a budget of nan would never
+        # stop a trajectory.
+        path = self._write(tmp_path, K4_TEXT)
+        code, out, err = run_cli(capsys, "solve", path, "--mode", "stoch",
+                                 "--budget-constant", value)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "budget_constant must be positive" in err
+
     def test_parse_error(self, capsys, tmp_path):
         path = self._write(tmp_path, "2 1\n0 7\n")
         code, _, err = run_cli(capsys, "solve", path, "--engine", "dp")

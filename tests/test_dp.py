@@ -5,10 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from longtrail.bruteforce import (
-    constrained_longest_bruteforce,
-    longest_trail_bruteforce,
-)
+from longtrail.bruteforce import longest_trail_bruteforce
 from longtrail.dp import (
     CapacityError,
     DpTable,
@@ -29,6 +26,7 @@ from longtrail.graphs import (
     validate_trail,
 )
 
+from constrained_oracle import constrained_longest_bruteforce
 from edge_level import edge_len
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))

@@ -1,9 +1,12 @@
 import gc
 import math
 import random
+from array import array
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from longtrail.dp import DpTable, full_dp_longest_trail, precompute_layer, LayerSpec
 from longtrail.graphs import (
@@ -20,8 +23,10 @@ from longtrail.hybrid import (
     HYBRID_STOCH_MAX_EDGES,
     HybridConfig,
     SolveContext,
+    _ORIENT,
     _patterns,
     _combine,
+    _exhaustive_chunk,
     _split_size,
     _subsets,
     predict_deterministic_queries,
@@ -30,6 +35,7 @@ from longtrail.hybrid import (
     solve_recursive,
     theoretical_costs,
 )
+from longtrail.qmax import exhaustive
 
 from edge_level import edge_len
 
@@ -54,8 +60,9 @@ class TestConfig:
             HybridConfig(mode="quantum")
         with pytest.raises(ValueError):
             HybridConfig(repeats_per_level=0)
-        with pytest.raises(ValueError):
-            HybridConfig(budget_constant=0)
+        for value in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="budget_constant"):
+                HybridConfig(budget_constant=value)
 
 
 class TestDeterministic:
@@ -379,9 +386,9 @@ def _rank(S, e):
 class TestCandidatePattern:
     def test_patterns_map_onto_the_reference_enumeration(self):
         # On a set whose edges are spread out, each rank-space pattern must
-        # give the reference's candidates in the reference's order, slots
-        # that address (lo, y) and (y, hi) in the halves' rows, and getters
-        # that pick exactly those cells from the halves' rows laid end to end.
+        # give the reference's candidates in the reference's order, and
+        # getters that pick exactly the cells of (lo, y) and (y, hi) from the
+        # halves' rows laid end to end.
         # (12, 6) and (13, 6), the full sets at the default alpha, are above
         # _KEPT: their patterns come from a table made for the call.
         rnd = random.Random(7)
@@ -402,7 +409,7 @@ class TestCandidatePattern:
                 for rhi in range(rlo + 1, size):
                     lo, hi = bits[rlo], bits[rhi]
                     want = _reference_candidates(S, lo, hi, h)
-                    sidx, lslot, tidx, rslot, prank, pick_left, pick_right = pattern(rlo, rhi)
+                    sidx, tidx, prank, pick_left, pick_right = pattern(rlo, rhi)
                     got = [
                         (left_sets[i], bits[r], right_sets[j])
                         for i, r, j in zip(sidx, prank, tidx)
@@ -414,9 +421,6 @@ class TestCandidatePattern:
                     assert pick_right(right_rows) == tuple(
                         (T, _rank(T, y) * t + _rank(T, hi)) for _, y, T in want
                     )
-                    for (S1, y, T), ls, rs in zip(want, lslot, rslot):
-                        assert ls == _rank(S1, lo) * h + _rank(S1, y)
-                        assert rs == _rank(T, y) * t + _rank(T, hi)
 
 
 class TestCombine:
@@ -447,7 +451,7 @@ class TestCombine:
                 got = _combine(
                     b"".join(left for left, _ in batch),
                     b"".join(right for _, right in batch),
-                )
+                ).to_bytes(4 * len(batch), "little")
                 for slot in range(4):
                     a, b = slot >> 1, slot & 1
                     want = bytes(
@@ -458,7 +462,92 @@ class TestCombine:
                         )
                         for left, right in batch
                     )
-                    assert got[slot] == want, (lanes, start, slot)
+                    assert got[slot::4] == want, (lanes, start, slot)
+
+
+class TestFold:
+    # Candidate counts per state: any small one, powers of two and one past
+    # them (the fold's last step is empty or one candidate), and the full
+    # sets' counts at m = 12 and 13.
+    counts = st.one_of(
+        st.integers(3, 300),
+        st.integers(1, 11).flatmap(lambda k: st.sampled_from([2 ** k, 2 ** k + 1])),
+        st.sampled_from([1722, 3102]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts, st.integers(1, 32), st.integers(0, 40), st.integers(0, 2 ** 32))
+    @example(1722, 32, 40, 1)
+    @example(3102, 32, 3, 2)
+    @example(1024, 7, 0, 3)
+    def test_cells_and_winners_equal_exhaustive(self, n, count, top, seed):
+        # Lanes as `_combine` returns them, values 0 (no walk) to `top`: per
+        # set an orientation of its end edges, whose missing slots hold 0 in
+        # every candidate, as a loop's padding makes them.
+        rnd = random.Random(seed)
+        values = bytes(x % (top + 1) for x in range(256))
+        orients = [rnd.choice(list(_ORIENT)) for _ in range(count)]
+        lanes = bytearray()
+        for a, b in orients:
+            segment = bytearray(rnd.randbytes(4 * n).translate(values))
+            if a == 1:
+                segment[2::4] = segment[3::4] = bytes(n)
+            if b == 1:
+                segment[1::4] = segment[3::4] = bytes(n)
+            lanes += segment
+        find = _exhaustive_chunk(int.from_bytes(lanes, "little"), n, count)
+        winners = array("i", [-1]) * (4 * count)
+        for i, orient in enumerate(orients):
+            slots = _ORIENT[orient][0]
+            cell, charged = find(i, slots, winners, 4 * i)
+            assert charged == n * len(slots)
+            for slot in range(4):
+                val, idx, _ = exhaustive(lanes[4 * i * n + slot:4 * (i + 1) * n:4])
+                assert cell[slot] == val, (i, slot)
+                assert winners[4 * i + slot] == (idx if val else -1), (i, slot)
+
+
+def _solved_states(g, per_size=None):
+    """A deterministic solve's context and its solved states (S, v < u):
+    all of them, or `per_size` drawn per set size."""
+    ctx = SolveContext.create(g, DET)
+    solve_recursive(ctx, g.full_edge_set, 0, 1)
+    by_size = {}
+    for S in ctx.table.splits:
+        by_size.setdefault(S.bit_count(), []).extend(
+            (S, v, u) for v, u in combinations(bits_of(S), 2))
+    rnd = random.Random(5)
+    return ctx, [state for states in by_size.values()
+                 for state in (states if per_size is None else rnd.sample(states, per_size))]
+
+
+class TestFirstMaxima:
+    @pytest.mark.parametrize("g, per_size", [
+        (LOOPS_7, None), (LOOPS_5, None), (random_graph(5, 9, 14), None),
+        (random_graph(4, 12, 9), 25),
+    ], ids=["loops7", "loops5", "m9", "m12-sample"])
+    def test_cells_and_records_are_first_maxima(self, g, per_size):
+        # Every deterministic cell and split record, on the witness path or
+        # off it, is `exhaustive`'s value and first index over the state's
+        # candidate values, recomputed from the memo rows in the reference
+        # enumeration's order.
+        ctx, states = _solved_states(g, per_size)
+        table = ctx.table
+        for S, lo, hi in states:
+            h = _split_size(S.bit_count(), ctx.k_pre)
+            halves = [(table.cell(S1, lo, y), table.cell(T, y, hi))
+                      for S1, y, T in _reference_candidates(S, lo, hi, h)]
+            cell = table.cell(S, lo, hi)
+            rv, ru = _rank(S, lo), _rank(S, hi)
+            record = table.splits[S][(ru * (ru - 1) // 2 + rv) * 4:][:4]
+            for slot in range(4):
+                a, b = slot >> 1, slot & 1
+                values = [max((left[a * 2 + c] + right[c * 2 + b] - 1
+                               for c in (0, 1) if left[a * 2 + c] and right[c * 2 + b]), default=0)
+                          for left, right in halves]
+                val, idx, _ = exhaustive(values)
+                assert cell[slot] == val, (S, lo, hi, slot)
+                assert record[slot] == (idx if val else -1), (S, lo, hi, slot)
 
 
 class TestWitnessReconstruction:

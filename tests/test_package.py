@@ -11,7 +11,7 @@ def test_all_names_resolve():
     assert set(longtrail.__all__) == {
         "Graph", "GraphFormatError", "HybridConfig", "OracleResult", "QueryLedger",
         "SizeLimitError", "SolveResult", "TrailVerdict", "boosted",
-        "constrained_longest_bruteforce", "exhaustive", "full_dp_longest_trail",
+        "exhaustive", "full_dp_longest_trail",
         "longest_trail_bruteforce", "parse_graph", "predict_deterministic_queries",
         "random_graph", "serialize_graph", "solve_hybrid", "theoretical_costs",
         "validate_trail",
