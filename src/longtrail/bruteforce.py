@@ -25,21 +25,15 @@ class OracleResult:
     trail: tuple[int, ...]
 
 
-def _class_groups(g: Graph) -> tuple[dict[tuple[int, int], list[int]], list[tuple[int, int]]]:
-    groups: dict[tuple[int, int], list[int]] = {}
-    keys: list[tuple[int, int]] = []
+def _lower_copies(g: Graph) -> list[int]:
+    """Per edge, the mask of its lower-indexed parallel copies."""
+    seen: dict[tuple[int, int], int] = {}
+    lower = []
     for i, (u, v) in enumerate(g.edges):
         key = (u, v) if u <= v else (v, u)
-        groups.setdefault(key, []).append(i)
-        keys.append(key)
-    return groups, keys
-
-
-def _first_unused(members: list[int], used: int, restrict: int) -> int:
-    for e in members:
-        if restrict >> e & 1 and not used >> e & 1:
-            return e
-    return -1
+        lower.append(seen.get(key, 0))
+        seen[key] = lower[i] | 1 << i
+    return lower
 
 
 def longest_trail_bruteforce(g: Graph) -> OracleResult:
@@ -48,8 +42,7 @@ def longest_trail_bruteforce(g: Graph) -> OracleResult:
     check_edge_budget(m, BRUTE_FORCE_MAX_EDGES, "brute-force oracle")
     if m == 0:
         return OracleResult(0, ())
-    groups, keys = _class_groups(g)
-    full = g.full_edge_set
+    lower = _lower_copies(g)
     edges = g.edges
     vmasks = g.vertex_edge_masks
     best_len = 0
@@ -66,15 +59,15 @@ def longest_trail_bruteforce(g: Graph) -> OracleResult:
             low = avail & -avail
             e = low.bit_length() - 1
             avail ^= low
-            if _first_unused(groups[keys[e]], used, full) != e:
-                continue
+            if used & lower[e] != lower[e]:
+                continue  # a lower parallel copy is unused
             u, v = edges[e]
             path.append(e)
             extend(v if u == head else u, used | 1 << e)
             path.pop()
 
     for e in range(m):
-        if groups[keys[e]][0] != e:
+        if lower[e]:
             continue  # parallel copies are equivalent as a starting edge
         u, v = edges[e]
         path.append(e)

@@ -51,7 +51,6 @@ from .graphs import (
 )
 
 FULL_DP_MAX_EDGES = 20
-_MISSING = object()
 # Single-edge cells by arc count: slots 0 and, for a non-loop, 3 hold 1.
 _SINGLE_EDGE = {1: b"\x01\x00\x00\x00", 2: b"\x01\x00\x00\x01"}
 
@@ -94,10 +93,10 @@ class DpTable:
     `rows` is the hybrid's state memo: per edge set S, a list indexed by
     rank(v) * |S| + rank(u) (e's rank: its position among S's edges) of the
     cells of (S, v, u): 4 bytes, byte i*2 + j = L(S, arc(v, i), arc(u, j)),
-    0 for "no walk"; None marks a cell not filled yet.  The diagonal holds
-    single-edge cells; a last entry holds S.  Padding contract: a loop has
-    only orientation 0, so slots i = 1 of a loop v and j = 1 of a loop u
-    hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
+    0 for "no walk"; None marks a cell not filled yet.  A row is exactly its
+    |S|^2 cells, the diagonal holding single-edge cells.  Padding contract: a
+    loop has only orientation 0, so slots i = 1 of a loop v and j = 1 of a
+    loop u hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
     hybrid fills those of its chain's sizes.  Equal cells are one object, the
     one `cells` maps them to.
     `splits[S]` (S above the layer) holds at (rank(u) * (rank(u) - 1) / 2 +
@@ -122,13 +121,13 @@ class DpTable:
         return len(self.entries)
 
     def row(self, S: int) -> list:
-        """The memo row of S (with S's winner array above the layer), made
-        on first use."""
+        """The memo row of S, its |S|^2 cells (with S's winner array above
+        the layer), made on first use."""
         row = self.rows.get(S)
         if row is None:
             size = S.bit_count()
-            row = self.rows[S] = [None] * (size * size) + [S]
-            row[:-1:size + 1] = [self._single[e] for e in bits_of(S)]
+            row = self.rows[S] = [None] * (size * size)
+            row[::size + 1] = [self._single[e] for e in bits_of(S)]
             if size > self.k_pre:
                 self.splits[S] = array("i", [-1]) * (2 * size * (size - 1))
         return row
@@ -150,8 +149,8 @@ def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
         return 1 if a == b else None
     entries = table.entries
     key = table.pack(S, a, b)
-    hit = entries.get(key, _MISSING)
-    if hit is not _MISSING:
+    hit = entries.get(key)
+    if hit is not None:
         return hit[0]
     S2 = S & ~(1 << eb)
     best: int | None = None
@@ -253,8 +252,8 @@ def reconstruct_arc(table: DpTable, S: int, a: int, b: int) -> list[int]:
                 raise TableLookupError("chain ended on mismatched arcs")
             seq.append(ea)
             break
-        hit = table.entries.get(table.pack(cur_S, a, cur_b), _MISSING)
-        if hit is _MISSING or hit[0] is None:
+        hit = table.entries.get(table.pack(cur_S, a, cur_b))
+        if hit is None or hit[0] is None:
             raise TableLookupError(
                 f"no stored walk for state (S={cur_S:#x}, a={a}, b={cur_b})"
             )

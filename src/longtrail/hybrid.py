@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -156,10 +157,10 @@ def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] =
     (|S| - h + 1)-subsets, laid end to end.  S' runs over the subsets holding
     lo; each is one candidate y = hi if it holds hi (other pivots strand hi),
     else a block y = lo, then the rest.  A cell's index there is
-    sidx * (h * h + 1) + lslot on the left (a row has h * h cells, then its
-    set; lslot is (lo, y)'s slot in S''s row) and tidx * (t * t + 1) + rslot
-    on the right (rslot is (y, hi)'s slot in T's row; a pattern has at least
-    3 candidates, so both getters return tuples).
+    sidx * h * h + lslot on the left (lslot is (lo, y)'s slot in S''s row of
+    h * h cells) and tidx * t * t + rslot on the right (rslot is (y, hi)'s
+    slot in T's row; a pattern has at least 3 candidates, so both getters
+    return tuples).
     `ints`, if given, holds the getters' index objects, one per value."""
     h, t, ranks, masks, tidx, toff = table.h, table.t, table.ranks, table.masks, table.tidx, table.toff
     pick, lslots = table.pick, table.lslots
@@ -186,8 +187,8 @@ def _build_pattern(table: _RankTable, rlo: int, rhi: int, ints: Optional[list] =
             tid.extend(order(tidx[i]))
             rslot.extend(map(add, order(toff[i]), offsets[q][c]))
             prank.extend(order(ranks[i]))
-    flat_left = map(add, map(mul, sidx, repeat(h * h + 1)), lslot)
-    flat_right = map(add, map(mul, tid, repeat(t * t + 1)), rslot)
+    flat_left = map(add, map(mul, sidx, repeat(h * h)), lslot)
+    flat_right = map(add, map(mul, tid, repeat(t * t)), rslot)
     if ints is not None:
         flat_left, flat_right = map(ints.__getitem__, flat_left), map(ints.__getitem__, flat_right)
     return tuple(sidx), tuple(tid), tuple(prank), itemgetter(*flat_left), itemgetter(*flat_right)
@@ -200,7 +201,7 @@ _INTS: list[int] = []  # kept patterns' getter indexes: one int object per value
 @lru_cache(maxsize=64)
 def _kept_patterns(size: int, h: int) -> Callable[[int, int], tuple]:
     t = size - h + 1
-    ends = math.comb(size, h) * (h * h + 1), math.comb(size, t) * (t * t + 1)
+    ends = math.comb(size, h) * h * h, math.comb(size, t) * t * t
     _INTS.extend(range(len(_INTS), max(ends)))
     return lru_cache(maxsize=None)(partial(_build_pattern, _RankTable(size, h), ints=_INTS))
 
@@ -602,8 +603,14 @@ def theoretical_costs(m: int, alpha: float = 0.055) -> CostReport:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     k_nominal = round((1.0 - alpha) * m / 4.0)
     k_layer = LayerSpec.for_graph(m, alpha).k_pre
-    classical_count = math.comb(m, k_nominal)
     log2_classical = _log2_binom(m, k_nominal)
+    # Past the int -> str digit limit (0 or absent: none) no report can hold
+    # the count, and at large m math.comb would spend minutes building it.
+    digits = math.floor(log2_classical * math.log10(2.0)) + 1
+    if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
+        raise ValueError(f"classical_count C({m}, {k_nominal}) has {digits} digits, "
+                         f"past the {limit}-digit limit on int to str conversion")
+    classical_count = math.comb(m, k_nominal)
     log2_quantum = 0.5 * (
         _log2_binom(m, m / 2.0)
         + _log2_binom(m / 2.0, m / 4.0)

@@ -2,7 +2,7 @@
 pinned first and last edges, by exhaustive search.  It shares only the
 parallel-copy prune with `longtrail.bruteforce`, and no code with the DP."""
 
-from longtrail.bruteforce import BRUTE_FORCE_MAX_EDGES, _class_groups, _first_unused
+from longtrail.bruteforce import BRUTE_FORCE_MAX_EDGES, _lower_copies
 from longtrail.graphs import Graph, check_edge_budget
 
 
@@ -21,7 +21,7 @@ def constrained_longest_bruteforce(g: Graph, S: int, v: int, u: int) -> int | No
         raise IndexError("edge index out of range")
     if not (S >> v & 1 and S >> u & 1):
         return None
-    groups, keys = _class_groups(g)
+    lower = [mask & S for mask in _lower_copies(g)]
     edges = g.edges
     vmasks = g.vertex_edge_masks
     best: int | None = None
@@ -35,7 +35,7 @@ def constrained_longest_bruteforce(g: Graph, S: int, v: int, u: int) -> int | No
             e = low.bit_length() - 1
             avail ^= low
             # Parallel-copy prune, except the pinned final edge u.
-            if e != u and _first_unused(groups[keys[e]], used | 1 << u, S) != e:
+            if e != u and (used | 1 << u) & lower[e] != lower[e]:
                 continue
             a, b = edges[e]
             depth += 1

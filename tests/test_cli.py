@@ -212,8 +212,10 @@ class TestCosts:
         assert code == 2 and "error" in err
 
     def test_unencodable_report_writes_nothing(self, capsys):
-        # classical_count at m = 20000 has more digits than int -> str allows.
-        code, out, err = run_cli(capsys, "costs", "--m", "20000")
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        # classical_count at these m has more digits than int -> str allows;
+        # at m = 20,000,000 building it would take minutes.
+        for m in ("20000", "20000000"):
+            code, out, err = run_cli(capsys, "costs", "--m", m)
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -232,7 +232,7 @@ class TestSchedule:
             for S, row in ctx.table.rows.items():
                 size = S.bit_count()
                 if size in sizes:
-                    assert None not in row, (m, S)
+                    assert len(row) == size * size and None not in row, (m, S)
                     solved[size] += size * (size - 1) // 2
                     assert len(ctx.table.splits[S]) == 2 * size * (size - 1)
             assert solved == {s: math.comb(m, s) * math.comb(s, 2) for s in sizes}
@@ -334,7 +334,7 @@ class TestInterning:
                     solve_recursive(ctx, g.full_edge_set, v, u)
             first, above_layer = {}, set()
             for S, row in ctx.table.rows.items():
-                for cell in row[:-1]:
+                for cell in row:
                     if cell is not None:
                         assert first.setdefault(cell, cell) is cell, (S, cell)
                         above_layer.add(S.bit_count() > ctx.k_pre)
@@ -401,9 +401,9 @@ class TestCandidatePattern:
                 S = edge_set(rnd.sample(range(2 * size + 1), size))
             bits = list(bits_of(S))
             left_sets, right_sets = _subsets(bits, h), _subsets(bits, t)
-            # A row like DpTable's: a distinct cell per slot, then its set.
-            left_rows = [cell for X in left_sets for cell in [(X, s) for s in range(h * h)] + [X]]
-            right_rows = [cell for X in right_sets for cell in [(X, s) for s in range(t * t)] + [X]]
+            # Rows like DpTable's: a distinct cell per slot.
+            left_rows = [(X, s) for X in left_sets for s in range(h * h)]
+            right_rows = [(X, s) for X in right_sets for s in range(t * t)]
             pattern = _patterns(size, h)
             for rlo in range(size):
                 for rhi in range(rlo + 1, size):
@@ -656,6 +656,13 @@ class TestTheoreticalCosts:
     def test_alpha_bound(self):
         with pytest.raises(ValueError):
             theoretical_costs(20, alpha=0.0)
+
+    def test_count_past_the_str_limit_is_refused(self):
+        # The digit count comes from the log: m = 18118 is the last m whose
+        # count fits Python's default 4300-digit int -> str limit.
+        assert len(str(theoretical_costs(18118).classical_count)) == 4300
+        with pytest.raises(ValueError, match="4301 digits"):
+            theoretical_costs(18119)
 
     def test_exponents_near_advertised_rate(self):
         rep = theoretical_costs(2000, 0.055)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -56,3 +57,14 @@ def test_engines_check_trails_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", _REJECTING_RUN], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.split() == ["raised", "raised", "raised"]
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips assert statements, so no check in the package may be one.
+    paths = sorted(Path(longtrail.__file__).parent.glob("*.py"))
+    assert {p.stem for p in paths} >= {"bruteforce", "cli", "dp", "graphs", "hybrid", "qmax"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
