@@ -189,7 +189,7 @@ def main(argv=None) -> int:
         parser.error("verify needs exactly one of an input file or --random")
     try:
         return args.func(args)
-    except (GraphFormatError, SizeLimitError, ValueError, OSError) as exc:
+    except (GraphFormatError, SizeLimitError, ValueError, OverflowError, OSError) as exc:
         _info(f"error: {exc}")
         return 2
 

@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
-from .qmax import QueryLedger, boosted
+from .qmax import QueryLedger, _shape, _trajectories
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -101,8 +101,7 @@ class SolveContext:
         self.search = _exhaustive_chunk
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
-            rnd, bconst = random.Random(cfg.seed).random, cfg.budget_constant
-            self.search = partial(_boosted_chunk, lambda values: boosted(values, repeats, rnd, bconst))
+            self.search = partial(_boosted_chunk, random.Random(cfg.seed), repeats, cfg.budget_constant, {})
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -298,15 +297,25 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     return find
 
 
-def _boosted_chunk(search: Callable, lanes: int, n: int, count: int) -> Callable:
-    """`_exhaustive_chunk`'s find with one `search` (values -> value, index,
-    charged) per searched slot, in slot order."""
+def _boosted_chunk(stream: random.Random, repeats: int, budget_constant: float, shapes: dict,
+                   lanes: int, n: int, count: int) -> Callable:
+    """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
+    slot, in slot order, on `stream`; `shapes` keeps the solve's `qmax._shape`s
+    per value bytes, and their rank shapes per class starts.  An all-zero slot
+    charges `repeats` samples and skips the 32-bit words their random()s take."""
     per_slot = _slot_lanes(lanes, 4 * n * count)
+    rnd, skip, zeros = stream.random, stream.getrandbits, bytes(n)
 
     def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
         vals, total = bytearray(4), 0
         for slot in slots:
-            val, idx, charged = search(per_slot[slot][i * n:(i + 1) * n])
+            values = per_slot[slot][i * n:(i + 1) * n]
+            if values == zeros:
+                skip(64 * repeats)
+                total += repeats
+                continue
+            shape = shapes.get(values) or shapes.setdefault(values, _shape(values, budget_constant, shapes))
+            val, idx, charged = _trajectories(values, shape, repeats, rnd)
             total += charged
             if val:
                 vals[slot], winners[at + slot] = val, idx

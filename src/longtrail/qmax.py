@@ -8,7 +8,10 @@ to an item picked uniformly among those t; the run stops when no better item
 exists or when the next stage would push the charged total past the query
 budget (budget_constant * ceil(sqrt(N))).  A budget stop returns the current
 threshold element, so errors are one-sided: the result is always a genuine
-element of the sequence, at worst a non-maximal one.
+element of the sequence, at worst a non-maximal one.  A search is
+budget-free when no trajectory can be stopped (`_shape`).  At the default
+budget_constant 23 every hybrid search is: its values are walk lengths 0..m
+<= 16, and 1 + the costs of t = 1..m fit the budget for every N it searches.
 
 A search runs over a sequence of mutually comparable values (a list, or the
 hybrid's bytes) and returns (value, index, charged).  The caller encodes "no
@@ -70,6 +73,67 @@ def _stage_costs(N: int) -> list[int]:
     return table
 
 
+def _shape(values: Sequence, budget_constant: float, ranks: dict) -> tuple:
+    """A search's set-up: its class values, best first, and the rank shape of
+    its length N and class starts (a class's strictly-better count t), kept
+    in `ranks`: per rank of the descending order (ties by index) its t, the
+    starts, the stage costs, the budget, and whether the search is
+    budget-free: 1 + the costs of every start but the top's fit the budget."""
+    asc = sorted(values)
+    N = hi = len(asc)
+    starts = []
+    while hi:
+        starts.append(N - hi)
+        hi = bisect_left(asc, asc[hi - 1], 0, hi)
+    rank = ranks.get(key := (N, *starts))
+    if rank is None:
+        greater = []  # one int object per class, not per rank
+        for t, end in zip(starts, key[2:] + (N,)):
+            greater += [t] * (end - t)
+        costs, budget = _stage_costs(N), budget_constant * math.ceil(math.sqrt(N))
+        free = 1 + sum(map(costs.__getitem__, starts[1:])) <= budget
+        rank = ranks[key] = greater, key[1:], costs, budget, free
+    return tuple(asc[~t] for t in starts), rank
+
+
+def _trajectories(values: Sequence, shape: tuple, repeats: int, rnd) -> tuple:
+    """`boosted`'s trajectories over values of the given `_shape`.  A draw
+    `int(rnd() * t)` needs no clamp below t: random() is at most 1 - 2**-53,
+    and int((1 - 2**-53) * t) < t for every t below 2**53."""
+    tops, (greater, starts, costs, budget, free) = shape
+    N, total = len(greater), repeats  # a charge for every trajectory's initial sample
+    best_t = 0 if free else N  # N is above every class start: the first end beats it
+    if free:
+        # No trajectory can be stopped, so each ends in the top class: the
+        # first one's end is the winner, and the others only draw and charge.
+        best = int(rnd() * N)
+        while t := greater[best]:
+            total += costs[t]
+            best = int(rnd() * t)
+        for _ in range(repeats - 1):
+            t = greater[int(rnd() * N)]
+            while t:
+                total += costs[t]
+                t = greater[int(rnd() * t)]
+    else:
+        for _ in range(repeats):
+            r = int(rnd() * N)
+            charged, t = 1, greater[r]
+            while t and charged + costs[t] <= budget:
+                charged += costs[t]
+                r = int(rnd() * t)
+                t = greater[r]
+            total += charged - 1
+            if t < best_t:  # a better class starts earlier
+                best, best_t = r, t
+    # The winner is the j-th occurrence of its value, j its rank in its class.
+    val = tops[starts.index(best_t)]
+    index = values.index(val)
+    for _ in range(best - best_t):
+        index = values.index(val, index + 1)
+    return values[index], index, total
+
+
 def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
     """Bounded-error search: `repeats` threshold-search trajectories over one
     sequence of mutually comparable values.
@@ -86,54 +150,11 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
     uniformly into the strictly-better prefix and charges the modeled Grover
     cost for its size, and a stage whose cost would overrun the query budget
     aborts the run with the current (genuine, possibly non-maximal) element.
+    The set-up (`_shape`) runs once; a budget-free search's trajectories skip
+    the budget check and the best-so-far (`_trajectories`).
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    N = len(values)
-    if not N:
+    if not len(values):
         raise ValueError("search needs at least one value")
-    if values.count(values[0]) == N:
-        # No value beats any sample: each repeat draws its start and stops,
-        # and the first repeat's index is the outcome.  The other repeats'
-        # draws are skipped: random() takes two 32-bit words of the stream.
-        r = min(int(rnd() * N), N - 1)
-        rnd.__self__.getrandbits(64 * (repeats - 1))
-        return values[r], r, repeats
-    # Per rank of the descending order: its value, and its class's first rank
-    # (the strictly-better count), found per class, best first, by bisection.
-    asc = sorted(values)
-    svals, greater, hi = asc[::-1], [], N
-    while hi:
-        lo = bisect_left(asc, asc[hi - 1], 0, hi)
-        greater += [N - hi] * (hi - lo)
-        hi = lo
-    budget = budget_constant * math.ceil(math.sqrt(N))
-    costs = _stage_costs(N)
-    best_rank = -1
-    best_val = svals[0]
-    total = 0
-    for _ in range(repeats):
-        r = int(rnd() * N)
-        if r >= N:
-            r = N - 1
-        charged = 1
-        t = greater[r]
-        while t:
-            cost = costs[t]
-            if charged + cost > budget:
-                break
-            charged += cost
-            r = int(rnd() * t)
-            if r >= t:
-                r = t - 1
-            t = greater[r]
-        total += charged
-        val = svals[r]
-        if best_rank < 0 or val > best_val:
-            best_rank = r
-            best_val = val
-    # The winner is the j-th occurrence of its value, j its rank in its class.
-    index = values.index(best_val)
-    for _ in range(best_rank - greater[best_rank]):
-        index = values.index(best_val, index + 1)
-    return values[index], index, total
+    return _trajectories(values, _shape(values, budget_constant, {}), repeats, rnd)

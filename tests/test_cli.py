@@ -213,8 +213,9 @@ class TestCosts:
 
     def test_unencodable_report_writes_nothing(self, capsys):
         # classical_count at these m has more digits than int -> str allows;
-        # at m = 20,000,000 building it would take minutes.
-        for m in ("20000", "20000000"):
+        # at m = 20,000,000 building it would take minutes, and 10**310 does
+        # not convert to a float.
+        for m in ("20000", "20000000", "1" + "0" * 310):
             code, out, err = run_cli(capsys, "costs", "--m", m)
             assert code == 2
             assert out == ""

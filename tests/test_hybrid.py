@@ -24,9 +24,11 @@ from longtrail.hybrid import (
     HybridConfig,
     SolveContext,
     _ORIENT,
+    _boosted_chunk,
     _patterns,
     _combine,
     _exhaustive_chunk,
+    _split_chain,
     _split_size,
     _subsets,
     predict_deterministic_queries,
@@ -35,7 +37,7 @@ from longtrail.hybrid import (
     solve_recursive,
     theoretical_costs,
 )
-from longtrail.qmax import exhaustive
+from longtrail.qmax import boosted, exhaustive, grover_stage_cost
 
 from edge_level import edge_len
 
@@ -506,6 +508,44 @@ class TestFold:
                 assert cell[slot] == val, (i, slot)
                 assert winners[4 * i + slot] == (idx if val else -1), (i, slot)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 8), st.integers(0, 12), st.integers(1, 30),
+           st.sampled_from([0.5, 2.0, 23.0]), st.integers(0, 2 ** 32))
+    @example(1722, 4, 12, 24, 23.0, 1)
+    @example(30, 8, 0, 24, 23.0, 2)
+    def test_boosted_cells_winners_and_stream_equal_per_slot_boosted(
+            self, n, count, top, repeats, budget_constant, seed):
+        # Lanes as above, with some slots of no walk at all besides the
+        # padding's; one chunk and one memo serve every set, as in a solve.
+        rnd = random.Random(seed)
+        values = bytes(x % (top + 1) for x in range(256))
+        orients = [rnd.choice(list(_ORIENT)) for _ in range(count)]
+        lanes = bytearray()
+        for a, b in orients:
+            segment = bytearray(rnd.randbytes(4 * n).translate(values))
+            for slot in range(4):
+                if a == 1 and slot >> 1 or b == 1 and slot & 1 or rnd.random() < 0.3:
+                    segment[slot::4] = bytes(n)
+            lanes += segment
+        got_stream, want_stream = random.Random(seed), random.Random(seed)
+        find = _boosted_chunk(got_stream, repeats, budget_constant, {},
+                              int.from_bytes(lanes, "little"), n, count)
+        winners = array("i", [-1]) * (4 * count)
+        for i, orient in enumerate(orients):
+            slots = _ORIENT[orient][0]
+            cell, charged = find(i, slots, winners, 4 * i)
+            total = 0
+            for slot in range(4):
+                val, idx = 0, -1
+                if slot in slots:  # in slot order, as the chunk searches them
+                    val, idx, queries = boosted(lanes[4 * i * n + slot:4 * (i + 1) * n:4],
+                                                repeats, want_stream.random, budget_constant)
+                    total += queries
+                assert cell[slot] == val, (i, slot)
+                assert winners[4 * i + slot] == (idx if val else -1), (i, slot)
+            assert charged == total, i
+        assert got_stream.random() == want_stream.random()
+
 
 def _solved_states(g, per_size=None):
     """A deterministic solve's context and its solved states (S, v < u):
@@ -519,6 +559,28 @@ def _solved_states(g, per_size=None):
     rnd = random.Random(5)
     return ctx, [state for states in by_size.values()
                  for state in (states if per_size is None else rnd.sample(states, per_size))]
+
+
+class TestBudgetFree:
+    def test_hybrid_searches_are_budget_free_at_the_default_constant(self):
+        # A search's values are walk lengths 0..m, so at most m classes lie
+        # below the top, at distinct starts t >= 1; a stage's cost falls as t
+        # grows, so t = 1..m is the costliest trajectory there can be.
+        m = HYBRID_STOCH_MAX_EDGES
+        k_pre = LayerSpec.for_graph(m, 0.055).k_pre
+        counts = []
+        for size in _split_chain(m, k_pre):
+            h = _split_size(size, k_pre)
+            # The pattern rule: S' runs over the h-subsets holding lo, one
+            # candidate if it holds hi, else h.
+            counts.append(math.comb(size - 2, h - 2) + h * math.comb(size - 2, h - 1))
+            assert len(_patterns(size, h)(0, 1)[0]) == counts[-1]
+        assert max(counts) == counts[-1]  # the full set's
+        budget_constant = HybridConfig().budget_constant
+        for N in range(1, max(counts) + 1):
+            # qmax._stage_costs(N)[t], without tabulating every t of every N.
+            worst = 1 + sum(grover_stage_cost(N, t) for t in range(1, min(m, N - 1) + 1))
+            assert worst <= budget_constant * math.ceil(math.sqrt(N)), N
 
 
 class TestFirstMaxima:

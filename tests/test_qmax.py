@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtrail.qmax import QueryLedger, boosted, exhaustive, grover_stage_cost
+from longtrail.qmax import QueryLedger, _shape, boosted, exhaustive, grover_stage_cost
 
 from boosted_reference import sorted_boosted
 
@@ -212,3 +212,34 @@ class TestMatchesSortingReference:
         want = sorted_boosted(vals, repeats, want_rnd.random, budget_constant)
         assert got == want
         assert got_rnd.random() == want_rnd.random()
+
+    # Classes 3 (1 value), 2 (3) and 1 (12) start at t = 0, 1 and 4 of N = 16,
+    # so a trajectory charges at most 1 + cost(16, 1) + cost(16, 4) = 1 + 4 + 2
+    # queries, and the budget is budget_constant * 4: 1.75 makes the search
+    # budget-free at exactly 7, 1.5 puts it one query over.
+    _BOUNDARY = [1, 2, 1, 1, 2, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("budget_constant, free", [(1.75, True), (1.5, False)])
+    @pytest.mark.parametrize("repeats", [1, 6])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_budget_free_boundary(self, budget_constant, free, repeats, as_bytes):
+        assert 1 + grover_stage_cost(16, 1) + grover_stage_cost(16, 4) == 7
+        vals = bytes(self._BOUNDARY) if as_bytes else self._BOUNDARY
+        assert _shape(vals, budget_constant, {})[1][-1] is free
+        found = set()
+        for seed in range(300):
+            got_rnd, want_rnd = random.Random(seed), random.Random(seed)
+            got = boosted(vals, repeats, got_rnd.random, budget_constant)
+            want = sorted_boosted(vals, repeats, want_rnd.random, budget_constant)
+            assert got == want, seed
+            assert got_rnd.random() == want_rnd.random(), seed
+            found.add(got[0])
+        # Only a budget stop can end below the top class.
+        assert (found == {3}) is free
+
+
+def test_draws_need_no_clamp():
+    # random() is at most 1 - 2**-53, so int(random() * t) is below t.
+    top = 1 - 2 ** -53
+    assert max(random.Random(0).random() for _ in range(1000)) <= top
+    assert all(int(top * t) < t for t in range(1, 2 ** 16 + 1))
