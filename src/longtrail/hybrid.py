@@ -297,24 +297,24 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     return find
 
 
-def _boosted_chunk(stream: random.Random, repeats: int, budget_constant: float, shapes: dict,
+def _boosted_chunk(stream: random.Random, repeats: int, budget_constant: float, memo: dict,
                    lanes: int, n: int, count: int) -> Callable:
     """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
-    slot, in slot order, on `stream`; `shapes` keeps the solve's `qmax._shape`s
-    per value bytes, and their rank shapes per class starts.  An all-zero slot
-    charges `repeats` samples and skips the 32-bit words their random()s take."""
+    slot, in slot order, on `stream`.  `memo` keeps one chain size's
+    `qmax._shape`s per value bytes, and no lone set's: those rarely recur."""
     per_slot = _slot_lanes(lanes, 4 * n * count)
-    rnd, skip, zeros = stream.random, stream.getrandbits, bytes(n)
+    if n not in memo:
+        memo.clear()
+    shapes, keep, rnd = memo.setdefault(n, {}), count > 1, stream.random
 
     def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
         vals, total = bytearray(4), 0
         for slot in slots:
             values = per_slot[slot][i * n:(i + 1) * n]
-            if values == zeros:
-                skip(64 * repeats)
-                total += repeats
-                continue
-            shape = shapes.get(values) or shapes.setdefault(values, _shape(values, budget_constant, shapes))
+            if (shape := shapes.get(values)) is None:
+                shape = _shape(values, budget_constant, shapes if keep else {})
+                if keep:
+                    shapes[values] = shape
             val, idx, charged = _trajectories(values, shape, repeats, rnd)
             total += charged
             if val:

@@ -74,11 +74,11 @@ def _stage_costs(N: int) -> list[int]:
 
 
 def _shape(values: Sequence, budget_constant: float, ranks: dict) -> tuple:
-    """A search's set-up: its class values, best first, and the rank shape of
-    its length N and class starts (a class's strictly-better count t), kept
-    in `ranks`: per rank of the descending order (ties by index) its t, the
-    starts, the stage costs, the budget, and whether the search is
-    budget-free: 1 + the costs of every start but the top's fit the budget."""
+    """A search's set-up, one object per shape in `ranks`: its class values,
+    best first, and the rank shape of its length N and class starts (a
+    class's strictly-better count t), also in `ranks`: per rank of the
+    descending order (ties by index) its t, the starts, the stage costs, the
+    budget, and whether 1 + the costs of every start but the top's fit it."""
     asc = sorted(values)
     N = hi = len(asc)
     starts = []
@@ -87,25 +87,26 @@ def _shape(values: Sequence, budget_constant: float, ranks: dict) -> tuple:
         hi = bisect_left(asc, asc[hi - 1], 0, hi)
     rank = ranks.get(key := (N, *starts))
     if rank is None:
-        greater = []  # one int object per class, not per rank
-        for t, end in zip(starts, key[2:] + (N,)):
-            greater += [t] * (end - t)
+        greater = [t for t, end in zip(starts, key[2:] + (N,)) for _ in range(end - t)]
         costs, budget = _stage_costs(N), budget_constant * math.ceil(math.sqrt(N))
-        free = 1 + sum(map(costs.__getitem__, starts[1:])) <= budget
+        free = not 1 + sum(map(costs.__getitem__, starts[1:])) > budget  # nan stops no stage
         rank = ranks[key] = greater, key[1:], costs, budget, free
-    return tuple(asc[~t] for t in starts), rank
+    return ranks.setdefault((key, tops := tuple(asc[~t] for t in starts)), (tops, rank))
 
 
 def _trajectories(values: Sequence, shape: tuple, repeats: int, rnd) -> tuple:
     """`boosted`'s trajectories over values of the given `_shape`.  A draw
-    `int(rnd() * t)` needs no clamp below t: random() is at most 1 - 2**-53,
-    and int((1 - 2**-53) * t) < t for every t below 2**53."""
-    tops, (greater, starts, costs, budget, free) = shape
-    N, total = len(greater), repeats  # a charge for every trajectory's initial sample
-    best_t = 0 if free else N  # N is above every class start: the first end beats it
+    int(rnd() * t) needs no clamp below t: random() <= 1 - 2**-53, and
+    int((1 - 2**-53) * t) < t for every t below 2**53."""
+    tops, (greater, starts, costs, budget, free), N = *shape, len(values)
+    if len(tops) == 1:
+        # The first start wins; the others' draws (two 32-bit words each) are skipped.
+        r = int(rnd() * N)
+        rnd.__self__.getrandbits(64 * (repeats - 1))
+        return values[r], r, repeats
+    total, best_t = repeats, 0 if free else N  # a charge per start; N is above every class start
     if free:
-        # No trajectory can be stopped, so each ends in the top class: the
-        # first one's end is the winner, and the others only draw and charge.
+        # Every trajectory ends in the top class: the first one's end wins.
         best = int(rnd() * N)
         while t := greater[best]:
             total += costs[t]
@@ -150,8 +151,7 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
     uniformly into the strictly-better prefix and charges the modeled Grover
     cost for its size, and a stage whose cost would overrun the query budget
     aborts the run with the current (genuine, possibly non-maximal) element.
-    The set-up (`_shape`) runs once; a budget-free search's trajectories skip
-    the budget check and the best-so-far (`_trajectories`).
+    The set-up is `_shape`; a budget-free search's trajectories skip the budget.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -202,7 +203,7 @@ class TestMatchesSortingReference:
         search_values,
         st.booleans(),
         st.integers(1, 30),
-        st.sampled_from([0.5, 2.0, 23.0, 1e9]),
+        st.sampled_from([0.5, 2.0, 23.0, 1e9, math.nan]),
         st.integers(0, 2**32),
     )
     def test_same_outcome_and_stream(self, vals, as_bytes, repeats, budget_constant, seed):
@@ -216,10 +217,11 @@ class TestMatchesSortingReference:
     # Classes 3 (1 value), 2 (3) and 1 (12) start at t = 0, 1 and 4 of N = 16,
     # so a trajectory charges at most 1 + cost(16, 1) + cost(16, 4) = 1 + 4 + 2
     # queries, and the budget is budget_constant * 4: 1.75 makes the search
-    # budget-free at exactly 7, 1.5 puts it one query over.
+    # budget-free at exactly 7, 1.5 puts it one query over, and a nan budget
+    # stops no stage.
     _BOUNDARY = [1, 2, 1, 1, 2, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 1]
 
-    @pytest.mark.parametrize("budget_constant, free", [(1.75, True), (1.5, False)])
+    @pytest.mark.parametrize("budget_constant, free", [(1.75, True), (1.5, False), (math.nan, True)])
     @pytest.mark.parametrize("repeats", [1, 6])
     @pytest.mark.parametrize("as_bytes", [False, True])
     def test_budget_free_boundary(self, budget_constant, free, repeats, as_bytes):
