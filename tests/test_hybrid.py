@@ -24,12 +24,12 @@ from longtrail.hybrid import (
     HybridConfig,
     SolveContext,
     _ORIENT,
-    _boosted_chunk,
     _patterns,
     _combine,
     _exhaustive_chunk,
     _split_chain,
     _split_size,
+    _stochastic_chunk,
     _subsets,
     predict_deterministic_queries,
     reconstruct_from_witness,
@@ -516,7 +516,7 @@ class TestFold:
     def test_boosted_cells_winners_and_stream_equal_per_slot_boosted(
             self, n, count, top, repeats, budget_constant, seed):
         # Lanes as above, with some slots of no walk at all besides the
-        # padding's; one chunk and one memo serve every set, as in a solve.
+        # padding's; one chunk serves every set, as in a solve.
         rnd = random.Random(seed)
         values = bytes(x % (top + 1) for x in range(256))
         orients = [rnd.choice(list(_ORIENT)) for _ in range(count)]
@@ -528,8 +528,8 @@ class TestFold:
                     segment[slot::4] = bytes(n)
             lanes += segment
         got_stream, want_stream = random.Random(seed), random.Random(seed)
-        find = _boosted_chunk(got_stream, repeats, budget_constant, {},
-                              int.from_bytes(lanes, "little"), n, count)
+        find = _stochastic_chunk(got_stream, repeats, budget_constant,
+                                 int.from_bytes(lanes, "little"), n, count)
         winners = array("i", [-1]) * (4 * count)
         for i, orient in enumerate(orients):
             slots = _ORIENT[orient][0]

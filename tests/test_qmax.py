@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from longtrail.qmax import QueryLedger, _shape, boosted, exhaustive, grover_stage_cost
+from longtrail.qmax import MAX_REPEATS, QueryLedger, boosted, exhaustive, grover_stage_cost
 
 from boosted_reference import sorted_boosted
 
@@ -19,6 +19,20 @@ def shuffled_range(n, seed):
 def single(values, seed, budget_constant=23.0):
     """One unboosted threshold-search run on a fresh seeded stream."""
     return boosted(values, 1, random.Random(seed).random, budget_constant)
+
+
+def class_starts(values):
+    """The class starts below the top: each class's strictly-better count."""
+    desc = sorted(values, reverse=True)
+    return [t for t in range(1, len(desc)) if desc[t] != desc[t - 1]]
+
+
+def budget_free(values, budget_constant):
+    """Whether no trajectory over the values can meet the budget: 1 + the
+    stage costs of every class start below the top fit it (nan: none can)."""
+    N = len(values)
+    worst = 1 + sum(grover_stage_cost(N, t) for t in class_starts(values))
+    return not worst > budget_constant * math.ceil(math.sqrt(N))
 
 
 class TestStageCost:
@@ -98,9 +112,11 @@ class TestBoosted:
         assert charged == 5  # one initial sample per repeat
 
     def test_charges_sum_over_repeats(self):
-        # Repeats are single runs on consecutive segments of one stream: the
-        # charges add up and the first best outcome wins.
-        vals = shuffled_range(128, 3)
+        # The repeats of a search that is not budget-free are single runs on
+        # consecutive segments of one stream: the charges add up and the
+        # first best outcome wins.
+        vals = shuffled_range(256, 3)
+        assert not budget_free(vals, 23.0)
         rnd = random.Random(9).random
         runs = [boosted(vals, 1, rnd, 23.0) for _ in range(6)]
         value, index, charged = boosted(vals, 6, random.Random(9).random, 23.0)
@@ -108,8 +124,10 @@ class TestBoosted:
         assert (value, index) == max(runs, key=lambda run: run[0])[:2]
 
     def test_repeats_validation(self):
-        with pytest.raises(ValueError):
-            boosted([1], 0, random.Random(0).random, 23.0)
+        for repeats in (0, MAX_REPEATS + 1):
+            with pytest.raises(ValueError, match="repeats"):
+                boosted([1], repeats, random.Random(0).random, 23.0)
+        assert boosted([1, 2], MAX_REPEATS, random.Random(0).random, 23.0)[:2] == (2, 1)
 
 
 values_strategy = st.lists(st.integers(-1, 50), min_size=1, max_size=40)
@@ -198,6 +216,12 @@ search_values = st.one_of(
 
 
 class TestMatchesSortingReference:
+    """A search that is not budget-free walks the reference's trajectories:
+    the same outcome, and the stream left where the reference leaves it.  A
+    budget-free one returns the maximum and its first index and draws once
+    per class below the top (its charge's distribution is
+    `TestSampledCharge`'s)."""
+
     @settings(max_examples=300)
     @given(
         search_values,
@@ -210,8 +234,14 @@ class TestMatchesSortingReference:
         vals = bytes(vals) if as_bytes and max(vals) < 256 else list(vals)
         got_rnd, want_rnd = random.Random(seed), random.Random(seed)
         got = boosted(vals, repeats, got_rnd.random, budget_constant)
-        want = sorted_boosted(vals, repeats, want_rnd.random, budget_constant)
-        assert got == want
+        if budget_free(vals, budget_constant):
+            top, below = max(vals), len(class_starts(vals))
+            assert got[:2] == (top, vals.index(top))
+            assert repeats <= got[2] <= repeats * (1 + grover_stage_cost(len(vals), 1) * below)
+            for _ in range(below):
+                want_rnd.random()
+        else:
+            assert got == sorted_boosted(vals, repeats, want_rnd.random, budget_constant)
         assert got_rnd.random() == want_rnd.random()
 
     # Classes 3 (1 value), 2 (3) and 1 (12) start at t = 0, 1 and 4 of N = 16,
@@ -227,17 +257,66 @@ class TestMatchesSortingReference:
     def test_budget_free_boundary(self, budget_constant, free, repeats, as_bytes):
         assert 1 + grover_stage_cost(16, 1) + grover_stage_cost(16, 4) == 7
         vals = bytes(self._BOUNDARY) if as_bytes else self._BOUNDARY
-        assert _shape(vals, budget_constant, {})[1][-1] is free
+        assert budget_free(vals, budget_constant) is free
         found = set()
         for seed in range(300):
             got_rnd, want_rnd = random.Random(seed), random.Random(seed)
             got = boosted(vals, repeats, got_rnd.random, budget_constant)
-            want = sorted_boosted(vals, repeats, want_rnd.random, budget_constant)
-            assert got == want, seed
+            if free:
+                assert got[:2] == (3, 6) and repeats <= got[2] <= 7 * repeats, seed
+                want_rnd.random(), want_rnd.random()  # one draw per class below the top
+            else:
+                assert got == sorted_boosted(vals, repeats, want_rnd.random, budget_constant), seed
             assert got_rnd.random() == want_rnd.random(), seed
             found.add(got[0])
         # Only a budget stop can end below the top class.
         assert (found == {3}) is free
+
+
+def moments(xs):
+    """Sample mean, variance, and the standard errors of both."""
+    n = len(xs)
+    mean = sum(xs) / n
+    var = sum((x - mean) ** 2 for x in xs) / n
+    fourth = sum((x - mean) ** 4 for x in xs) / n
+    return mean, var, math.sqrt(var / n), math.sqrt(max(fourth - var * var, 0.0) / n)
+
+
+# Budget-free shapes: up to 60 values in up to 8 classes at the default
+# constant, or in any number of classes with no budget at all.
+free_searches = st.one_of(
+    st.tuples(st.integers(1, 60).flatmap(
+        lambda n: st.lists(st.integers(0, 7), min_size=n, max_size=n)), st.just(23.0)),
+    st.tuples(st.integers(1, 60).flatmap(
+        lambda n: st.lists(st.integers(0, 255), min_size=n, max_size=n)),
+        st.sampled_from([1e9, math.nan])),
+)
+
+
+class TestSampledCharge:
+    """A budget-free search's sampled charge against the trajectories it
+    stands for: over the same 1,500 pinned seeds, the sampler's and
+    `sorted_boosted`'s charges agree in mean and variance within six
+    standard errors of the difference (each sample's own), and the sampler
+    returns exactly the maximum and its first index."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(free_searches, st.booleans(), st.integers(1, 30))
+    def test_charge_moments_match_trajectories(self, search, as_bytes, repeats):
+        vals, budget_constant = search
+        vals = bytes(vals) if as_bytes else vals
+        assume(budget_free(vals, budget_constant))
+        top = max(vals)
+        got, want = [], []
+        for seed in range(1500):
+            value, index, charged = boosted(vals, repeats, random.Random(seed).random, budget_constant)
+            assert (value, index) == (top, vals.index(top))
+            got.append(charged)
+            want.append(sorted_boosted(vals, repeats, random.Random(seed).random, budget_constant)[2])
+        (g_mean, g_var, g_mean_se, g_var_se), (w_mean, w_var, w_mean_se, w_var_se) = map(
+            moments, (got, want))
+        assert abs(g_mean - w_mean) <= 6 * math.hypot(g_mean_se, w_mean_se) + 1e-9
+        assert abs(g_var - w_var) <= 6 * math.hypot(g_var_se, w_var_se) + 1e-9
 
 
 def test_draws_need_no_clamp():
