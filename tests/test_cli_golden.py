@@ -40,7 +40,7 @@ REPORTS = {
         "queries": _levels(36), "seed": 0, "alpha": 0.055, "mode": "det"},
     ("triangle", "hybrid-stoch"): {
         "engine": "hybrid-stoch", "n": 3, "m": 3, "length": 3, "trail": [0, 2, 1],
-        "queries": _levels(37), "seed": 3, "alpha": 0.055, "mode": "stoch"},
+        "queries": _levels(33), "seed": 3, "alpha": 0.055, "mode": "stoch"},
     ("k4", "oracle"): {
         "engine": "oracle", "n": 4, "m": 6, "length": 5, "trail": [0, 3, 1, 2, 4], "seed": 5,
         **NULLS},
@@ -52,7 +52,7 @@ REPORTS = {
         "queries": _levels(1320, 2088, 432), "seed": 0, "alpha": 0.055, "mode": "det"},
     ("k4", "hybrid-stoch"): {
         "engine": "hybrid-stoch", "n": 4, "m": 6, "length": 5, "trail": [0, 2, 4, 3, 1],
-        "queries": _levels(457, 1324, 347), "seed": 3, "alpha": 0.055, "mode": "stoch"},
+        "queries": _levels(483, 1348, 341), "seed": 3, "alpha": 0.055, "mode": "stoch"},
     ("loops", "oracle"): {
         "engine": "oracle", "n": 3, "m": 6, "length": 6, "trail": [1, 0, 4, 2, 3, 5],
         "seed": 5, **NULLS},
@@ -64,7 +64,7 @@ REPORTS = {
         "queries": _levels(726, 1122, 264), "seed": 0, "alpha": 0.055, "mode": "det"},
     ("loops", "hybrid-stoch"): {
         "engine": "hybrid-stoch", "n": 3, "m": 6, "length": 6, "trail": [1, 0, 4, 2, 3, 5],
-        "queries": _levels(177, 731, 223), "seed": 3, "alpha": 0.055, "mode": "stoch"},
+        "queries": _levels(164, 736, 231), "seed": 3, "alpha": 0.055, "mode": "stoch"},
     ("empty", "oracle"): {
         "engine": "oracle", "n": 2, "m": 0, "length": 0, "trail": [], "seed": 5, **NULLS},
     ("empty", "dp"): {

@@ -41,55 +41,55 @@ REPORTS = {
         {'level0': 8075, 'level1': 14280, 'level2': 5192, 'level3': 333}, 170),
     ('m8a', 'stochastic', 0): (
         6, (0, 2, 3, 1, 4, 5),
-        {'level0': 2560, 'level1': 46259, 'level2': 22603, 'level3': 1837}, 170),
+        {'level0': 2513, 'level1': 46369, 'level2': 22648, 'level3': 1815}, 170),
     ('m8a', 'stochastic', 1): (
         6, (0, 2, 3, 1, 4, 5),
-        {'level0': 2464, 'level1': 46283, 'level2': 22708, 'level3': 1814}, 170),
+        {'level0': 2579, 'level1': 46155, 'level2': 22616, 'level3': 1820}, 170),
     ('m8a', 'stochastic', 2): (
-        6, (0, 3, 2, 1, 4, 5),
-        {'level0': 2519, 'level1': 46285, 'level2': 22586, 'level3': 1815}, 170),
+        6, (0, 2, 3, 1, 4, 5),
+        {'level0': 2536, 'level1': 46545, 'level2': 22719, 'level3': 1816}, 170),
     ('m8b', 'deterministic', 0): (
         8, (0, 4, 6, 1, 3, 5, 7, 2),
         {'level0': 9310, 'level1': 16310, 'level2': 6110, 'level3': 414}, 196),
     ('m8b', 'stochastic', 0): (
         8, (0, 4, 6, 1, 3, 5, 7, 2),
-        {'level0': 8999, 'level1': 59306, 'level2': 28467, 'level3': 2496}, 196),
+        {'level0': 9120, 'level1': 59714, 'level2': 28462, 'level3': 2521}, 196),
     ('m8b', 'stochastic', 1): (
-        8, (0, 4, 7, 5, 3, 1, 6, 2),
-        {'level0': 8962, 'level1': 59454, 'level2': 28360, 'level3': 2491}, 196),
+        8, (0, 4, 6, 1, 3, 5, 7, 2),
+        {'level0': 9288, 'level1': 59597, 'level2': 28604, 'level3': 2529}, 196),
     ('m8b', 'stochastic', 2): (
         8, (0, 4, 6, 1, 3, 5, 7, 2),
-        {'level0': 9079, 'level1': 59500, 'level2': 28623, 'level3': 2536}, 196),
+        {'level0': 9294, 'level1': 59538, 'level2': 28585, 'level3': 2541}, 196),
     ('m10a', 'deterministic', 0): (
         8, (4, 6, 2, 1, 0, 5, 8, 7),
         {'level0': 58870, 'level1': 320740, 'level2': 20300}, 2610),
     ('m10a', 'stochastic', 0): (
-        8, (4, 6, 8, 5, 0, 1, 2, 7),
-        {'level0': 5793, 'level1': 439792, 'level2': 90284}, 2610),
+        8, (4, 6, 2, 1, 0, 5, 8, 7),
+        {'level0': 5735, 'level1': 439355, 'level2': 90316}, 2610),
     ('m10a', 'stochastic', 1): (
-        8, (4, 6, 8, 5, 0, 1, 2, 7),
-        {'level0': 5666, 'level1': 439629, 'level2': 90423}, 2610),
+        8, (4, 6, 2, 1, 0, 5, 8, 7),
+        {'level0': 5819, 'level1': 440044, 'level2': 90089}, 2610),
     ('m10a', 'stochastic', 2): (
         8, (4, 6, 2, 1, 0, 5, 8, 7),
-        {'level0': 5775, 'level1': 440091, 'level2': 90319}, 2610),
+        {'level0': 5746, 'level1': 439619, 'level2': 90262}, 2610),
     ('m10b', 'deterministic', 0): (
         8, (0, 2, 5, 9, 8, 7, 6, 3),
         {'level0': 52374, 'level1': 285348, 'level2': 18060}, 2322),
     ('m10b', 'stochastic', 0): (
         8, (0, 2, 5, 9, 8, 7, 6, 3),
-        {'level0': 10007, 'level1': 442688, 'level2': 84397}, 2322),
+        {'level0': 10066, 'level1': 442322, 'level2': 84406}, 2322),
     ('m10b', 'stochastic', 1): (
         8, (0, 2, 5, 9, 8, 7, 6, 3),
-        {'level0': 9884, 'level1': 443308, 'level2': 84338}, 2322),
+        {'level0': 9743, 'level1': 442611, 'level2': 84189}, 2322),
     ('m10b', 'stochastic', 2): (
         8, (0, 2, 5, 9, 8, 7, 6, 3),
-        {'level0': 10056, 'level1': 443053, 'level2': 84457}, 2322),
+        {'level0': 9886, 'level1': 442644, 'level2': 84369}, 2322),
     ('m12', 'deterministic', 0): (
         11, (0, 4, 6, 5, 2, 3, 7, 9, 8, 10, 1),
         {'level0': 253134, 'level1': 1975680, 'level2': 244755}, 3234),
     ('m12', 'stochastic', 0): (
-        11, (0, 9, 4, 6, 5, 7, 3, 2, 8, 10, 1),
-        {'level0': 26524, 'level1': 3864163, 'level2': 951457}, 3234),
+        11, (0, 4, 6, 5, 2, 3, 7, 9, 8, 10, 1),
+        {'level0': 26715, 'level1': 3861431, 'level2': 950995}, 3234),
     ('m13', 'deterministic', 0): (
         12, (0, 2, 5, 6, 1, 10, 12, 4, 8, 11, 9, 7),
         {'level0': 511830, 'level1': 8439750, 'level2': 190575}, 22110),
@@ -118,28 +118,6 @@ PAIRS = {
          (None, None), (1, (6,)), (None, None)],
         [(4, (7, 2, 3, 0)), (4, (7, 0, 3, 1)), (4, (7, 0, 3, 2)), (4, (7, 0, 2, 3)),
          (5, (7, 3, 0, 1, 4)), (6, (7, 3, 0, 1, 4, 5)), (None, None), (1, (7,))],
-    ],
-    ('m8a', 'stochastic'): [
-        [(1, (0,)), (4, (0, 2, 3, 1)), (3, (0, 3, 2)), (3, (0, 2, 3)),
-         (5, (0, 3, 2, 1, 4)), (6, (0, 2, 3, 1, 4, 5)), (None, None),
-         (4, (0, 2, 3, 7))],
-        [(4, (1, 3, 2, 0)), (1, (1,)), (4, (1, 0, 3, 2)), (4, (1, 0, 2, 3)),
-         (2, (1, 4)), (3, (1, 4, 5)), (None, None), (4, (1, 3, 2, 7))],
-        [(3, (2, 3, 0)), (4, (2, 3, 0, 1)), (1, (2,)), (3, (2, 0, 3)),
-         (5, (2, 0, 3, 1, 4)), (6, (2, 0, 3, 1, 4, 5)), (None, None),
-         (4, (2, 0, 3, 7))],
-        [(3, (3, 2, 0)), (4, (3, 2, 0, 1)), (3, (3, 0, 2)), (1, (3,)),
-         (5, (3, 2, 0, 1, 4)), (6, (3, 2, 0, 1, 4, 5)), (None, None),
-         (4, (3, 0, 2, 7))],
-        [(5, (4, 1, 2, 3, 0)), (2, (4, 1)), (5, (4, 1, 3, 0, 2)), (5, (4, 1, 0, 2, 3)),
-         (1, (4,)), (2, (4, 5)), (None, None), (5, (4, 1, 2, 3, 7))],
-        [(6, (5, 4, 1, 3, 2, 0)), (3, (5, 4, 1)), (6, (5, 4, 1, 3, 0, 2)),
-         (6, (5, 4, 1, 0, 2, 3)), (2, (5, 4)), (1, (5,)), (None, None),
-         (6, (5, 4, 1, 0, 3, 7))],
-        [(None, None), (None, None), (None, None), (None, None), (None, None),
-         (None, None), (1, (6,)), (None, None)],
-        [(4, (7, 3, 2, 0)), (4, (7, 2, 3, 1)), (4, (7, 3, 0, 2)), (4, (7, 2, 0, 3)),
-         (5, (7, 3, 2, 1, 4)), (6, (7, 3, 0, 1, 4, 5)), (None, None), (1, (7,))],
     ],
     ('m8b', 'deterministic'): [
         [(1, (0,)), (7, (0, 5, 7, 2, 4, 6, 1)), (8, (0, 4, 6, 1, 3, 5, 7, 2)),
@@ -174,40 +152,10 @@ PAIRS = {
          (8, (7, 6, 1, 3, 5, 0, 2, 4)), (7, (7, 3, 1, 6, 2, 0, 5)),
          (7, (7, 4, 0, 5, 3, 1, 6)), (1, (7,))],
     ],
-    ('m8b', 'stochastic'): [
-        [(1, (0,)), (7, (0, 5, 7, 4, 2, 6, 1)), (8, (0, 4, 6, 1, 3, 5, 7, 2)),
-         (8, (0, 5, 7, 4, 2, 6, 1, 3)), (8, (0, 2, 7, 5, 3, 1, 6, 4)),
-         (8, (0, 3, 1, 6, 4, 2, 7, 5)), (7, (0, 2, 7, 5, 3, 1, 6)),
-         (8, (0, 5, 3, 1, 6, 4, 2, 7))],
-        [(7, (1, 6, 2, 4, 7, 5, 0)), (1, (1,)), (7, (1, 6, 4, 0, 5, 7, 2)),
-         (7, (1, 6, 4, 2, 7, 5, 3)), (7, (1, 6, 2, 0, 5, 7, 4)),
-         (6, (1, 6, 4, 2, 7, 5)), (7, (1, 3, 5, 7, 2, 4, 6)), (6, (1, 6, 4, 0, 5, 7))],
-        [(8, (2, 7, 5, 3, 1, 6, 4, 0)), (7, (2, 7, 5, 0, 4, 6, 1)), (1, (2,)),
-         (8, (2, 7, 5, 0, 4, 6, 1, 3)), (7, (2, 6, 1, 3, 5, 0, 4)),
-         (8, (2, 7, 0, 4, 6, 1, 3, 5)), (7, (2, 4, 0, 5, 3, 1, 6)),
-         (8, (2, 4, 0, 5, 3, 1, 6, 7))],
-        [(8, (3, 1, 6, 2, 4, 7, 5, 0)), (7, (3, 5, 7, 2, 4, 6, 1)),
-         (8, (3, 1, 6, 4, 0, 5, 7, 2)), (1, (3,)), (8, (3, 1, 6, 7, 5, 0, 2, 4)),
-         (7, (3, 1, 6, 4, 2, 7, 5)), (6, (3, 5, 7, 2, 4, 6)),
-         (7, (3, 1, 6, 4, 0, 5, 7))],
-        [(8, (4, 6, 1, 3, 5, 7, 2, 0)), (7, (4, 7, 5, 0, 2, 6, 1)),
-         (7, (4, 6, 1, 3, 5, 0, 2)), (8, (4, 2, 0, 5, 7, 6, 1, 3)), (1, (4,)),
-         (8, (4, 2, 0, 3, 1, 6, 7, 5)), (7, (4, 2, 0, 5, 3, 1, 6)),
-         (8, (4, 2, 0, 5, 3, 1, 6, 7))],
-        [(8, (5, 7, 2, 4, 6, 1, 3, 0)), (6, (5, 0, 2, 7, 3, 1)),
-         (8, (5, 3, 1, 6, 4, 0, 7, 2)), (7, (5, 7, 2, 4, 6, 1, 3)),
-         (8, (5, 7, 6, 1, 3, 0, 2, 4)), (1, (5,)), (7, (5, 0, 2, 7, 3, 1, 6)),
-         (7, (5, 3, 1, 6, 4, 2, 7))],
-        [(7, (6, 1, 3, 5, 7, 2, 0)), (7, (6, 4, 2, 7, 5, 3, 1)),
-         (7, (6, 1, 3, 5, 7, 4, 2)), (6, (6, 4, 2, 7, 5, 3)),
-         (7, (6, 1, 3, 5, 7, 2, 4)), (7, (6, 1, 3, 7, 2, 0, 5)), (1, (6,)),
-         (7, (6, 1, 3, 5, 0, 4, 7))],
-        [(8, (7, 2, 4, 6, 1, 3, 5, 0)), (6, (7, 5, 0, 4, 6, 1)),
-         (8, (7, 6, 1, 3, 5, 0, 4, 2)), (7, (7, 5, 0, 4, 6, 1, 3)),
-         (8, (7, 6, 1, 3, 5, 0, 2, 4)), (7, (7, 0, 2, 6, 1, 3, 5)),
-         (7, (7, 4, 0, 5, 3, 1, 6)), (1, (7,))],
-    ],
 }
+# Recorded, and equal to the deterministic pairs: at the default budget
+# constant every stochastic search returns its first maximum.
+PAIRS.update({(name, "stochastic"): PAIRS[name, "deterministic"] for name in ("m8a", "m8b")})
 
 
 @pytest.mark.parametrize("key", sorted(REPORTS), ids=lambda key: "-".join(map(str, key)))
