@@ -14,11 +14,10 @@ Each maximization runs through one query-counting search bound per run:
 in deterministic mode the max and its first index with a charge of one
 query per candidate, as `qmax.exhaustive` gives them (results provably equal
 to the full DP), `qmax.boosted` threshold searches on the seeded stream in
-stochastic mode; at the default budget constant every one of those is
-budget-free, so it takes the deterministic fold's cell and winner and draws
-only its charge.  States are solved once per run and memoized (with no
-object per state, see DpTable), so stochastic references to a state share
-one realization (re-running nested searches per reference is not simulable).
+stochastic mode (the fold's, with a sampled charge, where budget-free).
+States are solved once per run and memoized (with no object per state, see
+DpTable), so stochastic references to a state share one realization
+(re-running nested searches per reference is not simulable).
 
 All states (S, v < u) with |S| on the full set's split chain are solved
 bottom-up, smallest size first, so halves precede their states: sets in
@@ -48,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
-from .qmax import MAX_REPEATS, QueryLedger, _budget_free, _sampled_charge, _stage_costs, boosted
+from .qmax import QueryLedger, _budget_free, _sampled_charge, _stage_costs, boosted
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -71,8 +70,8 @@ class HybridConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.mode not in (MODE_DETERMINISTIC, MODE_STOCHASTIC):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.repeats_per_level is not None and not 1 <= self.repeats_per_level <= MAX_REPEATS:
-            raise ValueError(f"repeats_per_level must lie in [1, {MAX_REPEATS}]")
+        if self.repeats_per_level is not None and self.repeats_per_level < 1:
+            raise ValueError("repeats_per_level must be at least 1")
         if not self.budget_constant > 0:  # nan too: no stage would ever exceed the budget
             raise ValueError(f"budget_constant must be positive, got {self.budget_constant}")
 
@@ -103,7 +102,8 @@ class SolveContext:
         self.search = _exhaustive_chunk
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
-            self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats, cfg.budget_constant)
+            self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats,
+                                  cfg.budget_constant, g.edge_count)
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -279,21 +279,16 @@ def _slot_lanes(lanes: int, size: int) -> list[bytes]:
     return [flat[slot::4] for slot in range(4)]
 
 
-def _fold_chunk(lanes: int, n: int, count: int) -> tuple[list[bytes], list[bytes]]:
-    """Per set its cell, the max of each slot over its n candidates, and the
-    lanes as bytes per slot (`_slot_lanes`)."""
-    size = 4 * n * count
-    maxima = _fold_maxima(lanes, n, _lane_masks(size)[0]).to_bytes(size, "little")
-    return [maxima[at:at + 4] for at in range(0, size, 4 * n)], _slot_lanes(lanes, size)
-
-
 def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     """The deterministic search of `count` sets' lanes, n candidates each:
     find(i, slots, winners, at) returns set i's cell and its charge, n per
     searched slot, and writes each searched slot's winner, the first index
     of a nonzero max, to winners[at + slot], as `qmax.exhaustive` finds
     them.  Slots not searched hold 0 in every lane (the padding contract)."""
-    cells, per_slot = _fold_chunk(lanes, n, count)
+    size = 4 * n * count
+    maxima = _fold_maxima(lanes, n, _lane_masks(size)[0]).to_bytes(size, "little")
+    cells = [maxima[at:at + 4] for at in range(0, size, 4 * n)]
+    per_slot = _slot_lanes(lanes, size)
 
     def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
         cell, start = cells[i], i * n
@@ -304,39 +299,34 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     return find
 
 
-def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float,
+def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float, top: int,
                       lanes: int, n: int, count: int) -> Callable:
     """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
-    slot, in slot order, on `stream`.  When every search of the chunk is
-    budget-free (values 0..top make at most top classes below the max), each
-    takes the fold's cell and first-max winner, as `boosted` would, and
-    `qmax._sampled_charge` draws its charge from the counts of its values."""
-    cells, per_slot = _fold_chunk(lanes, n, count)
-    rnd = stream.random
-    if not _budget_free(n, max(map(max, cells)), budget_constant):
+    slot, in slot order, on `stream`, over values 0..top.  If that makes
+    every search budget-free, each takes the fold's cell and first-max
+    winner, as `boosted` would, and draws its charge from its value counts."""
+    per_slot, rnd = _slot_lanes(lanes, 4 * n * count), stream.random
+    if _budget_free(n, top, budget_constant):
+        fold, costs = _exhaustive_chunk(lanes, n, count), _stage_costs(n)
+
         def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-            vals, total = bytearray(4), 0
+            cell, total, start = fold(i, slots, winners, at)[0], repeats * len(slots), i * n
             for slot in slots:
-                val, idx, charged = boosted(per_slot[slot][i * n:(i + 1) * n], repeats, rnd,
-                                            budget_constant)
-                total += charged
-                if val:
-                    vals[slot], winners[at + slot] = val, idx
-            return bytes(vals), total
+                if val := cell[slot]:  # else one class: no stage and no draw
+                    values = per_slot[slot][start:start + n]
+                    ends = accumulate(filter(None, map(values.count, range(val, -1, -1))))
+                    total += _sampled_charge(ends, costs, repeats, rnd)
+            return cell, total
         return find
-    costs = _stage_costs(n)
 
     def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-        cell, start, stop, total = cells[i], i * n, (i + 1) * n, 0
+        vals, total, start, stop = bytearray(4), 0, i * n, i * n + n
         for slot in slots:
-            if not (val := cell[slot]):  # one class: no stage and no draw
-                total += repeats
-                continue
-            values = per_slot[slot]
-            winners[at + slot] = values.index(val, start) - start
-            counts = map(values.count, range(val, -1, -1), repeat(start), repeat(stop))
-            total += _sampled_charge(accumulate(filter(None, counts)), costs, repeats, rnd)
-        return cell, total
+            val, idx, charged = boosted(per_slot[slot][start:stop], repeats, rnd, budget_constant)
+            total += charged
+            if val:
+                vals[slot], winners[at + slot] = val, idx
+        return bytes(vals), total
     return find
 
 
@@ -645,14 +635,5 @@ def theoretical_costs(m: int, alpha: float = 0.055) -> CostReport:
     quantum_count = 2.0 ** log2_quantum if log2_quantum < 1020 else float("inf")
     exp_c = log2_classical / m
     exp_q = log2_quantum / m
-    return CostReport(
-        m=m,
-        alpha=alpha,
-        k_nominal=k_nominal,
-        k_layer=k_layer,
-        classical_count=classical_count,
-        quantum_count=quantum_count,
-        exponent_classical=exp_c,
-        exponent_quantum=exp_q,
-        balance_gap=abs(exp_c - exp_q),
-    )
+    return CostReport(m, alpha, k_nominal, k_layer, classical_count, quantum_count,
+                      exp_c, exp_q, abs(exp_c - exp_q))

@@ -8,16 +8,11 @@ to an item picked uniformly among those t; the run stops when no better item
 exists or when the next stage would push the charged total past the query
 budget (budget_constant * ceil(sqrt(N))).  A budget stop returns the current
 threshold element, so errors are one-sided: the result is always a genuine
-element of the sequence, at worst a non-maximal one.
-
-A search is budget-free when 1 + the stage costs of its class starts below
-the top fit the budget: then no trajectory can be stopped, and every one ends
-in the top class.  Such a search is sampled, not walked: it returns the
-maximum and its first index, the winner the exhaustive scan picks, and draws
-its charge from the exact distribution of the trajectories' charges
-(`_sampled_charge`).  At the default budget_constant 23 every hybrid search
-is budget-free: its values are walk lengths 0..m <= 16, and 1 + the costs of
-t = 1..m fit the budget for every N it searches (`_budget_free`).
+element of the sequence, at worst a non-maximal one.  A budget-free search
+(`_budget_free`) is sampled, not walked: it returns the maximum and its first
+index, as the exhaustive scan does, and draws its charge from the exact
+distribution (`_sampled_charge`).  At the default budget_constant 23 every
+hybrid search is budget-free: its values are walk lengths 0..m <= 16.
 
 A search runs over a sequence of mutually comparable values (a list, or the
 hybrid's bytes) and returns (value, index, charged).  The caller encodes "no
@@ -37,8 +32,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
-from operator import eq
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 
@@ -71,91 +65,84 @@ def exhaustive(values: Sequence) -> tuple:
     return best, values.index(best), len(values)
 
 
-_COST_TABLES: dict[int, list[int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _stage_costs(N: int) -> list[int]:
     """Charged cost of one stage for every possible t, indexed by t."""
-    table = _COST_TABLES.get(N)
-    if table is None:
-        table = [0] + [grover_stage_cost(N, t) for t in range(1, N + 1)]
-        _COST_TABLES[N] = table
-    return table
-
-
-def _shape(values: Sequence) -> tuple:
-    """A search's classes: their values best first and their starts (a
-    class's strictly-better count t), ascending.  All-distinct values take
-    one class each, with no bisection per class."""
-    asc = sorted(values)
-    N = hi = len(asc)
-    if not any(map(eq, asc, islice(asc, 1, None))):
-        return asc[::-1], range(N)
-    starts = []
-    while hi:
-        starts.append(N - hi)
-        hi = bisect_left(asc, asc[hi - 1], 0, hi)
-    return [asc[~t] for t in starts], starts
-
-
-MAX_REPEATS = 1022  # a binomial CDF's first term, >= 2**-repeats, stays a normal float
-
-
-@lru_cache(maxsize=512)
-def _binomial_cdf(n: int, x: int, e: int) -> array:
-    """The CDF of Binomial(n, x/e), x/e <= 1/2, at 0..n-1.  The latest 512
-    are kept: a chain size's searches share a few hundred (x, e)."""
-    ratio, pmf, total, cdf = x / (e - x), ((e - x) / e) ** n, 0.0, array("d")
-    for k in range(n):
-        total += pmf
-        cdf.append(total)
-        pmf *= ratio * (n - k) / (k + 1)
-    return cdf
-
-
-def _sampled_charge(ends: Iterable[int], costs: list[int], repeats: int, rnd) -> int:
-    """The charge of a budget-free search of `repeats` trajectories, drawn
-    from its exact distribution: `ends` are its class ends e_k, best class
-    first, and `costs` its stage costs by t.  A trajectory visits a class
-    with start t and end e with probability (e - t)/e, independently of the
-    other classes (Durr and Hoyer's lemma over tie classes), and charges
-    cost(N, t) there; every trajectory charges 1 for its first sample.  So
-    the charge is repeats + the sum of cost(N, t_k) * K_k over the classes
-    below the top, K_k ~ Binomial(repeats, (e_k - t_k)/e_k).
-
-    Draw order: one rnd() per class below the top, best class first.  K_k is
-    the inverse CDF at that draw of the rarer outcome's count: the visits if
-    e_k - t_k <= t_k, else the misses, and K_k = repeats - misses."""
-    ends = iter(ends)
-    total, t = repeats, next(ends)
-    for e in ends:
-        visits = e - t
-        rare = visits if visits <= t else t
-        k = bisect_right(_binomial_cdf(repeats, rare, e), rnd())
-        total += costs[t] * (k if rare == visits else repeats - k)
-        t = e
-    return total
+    return [0] + [grover_stage_cost(N, t) for t in range(1, N + 1)]
 
 
 def _budget_free(N: int, below: int, budget_constant: float) -> bool:
-    """Whether every search of N values in at most `below` + 1 classes is
-    budget-free.  The classes below the top start at distinct t >= 1, and a
-    stage's cost falls as t grows, so 1 + the costs of t = 1..below bound
-    every trajectory's charge.  A nan budget stops no stage."""
+    """Whether no trajectory over N values in at most `below` + 1 classes can
+    meet the budget, with those below the top at the costliest starts t = 1,
+    2, ... (a stage's cost falls as t grows).  A nan budget stops no stage."""
     costs = _stage_costs(N)
     return not 1 + sum(costs[1:min(below, N - 1) + 1]) > budget_constant * math.ceil(math.sqrt(N))
 
 
-def _trajectories(values: Sequence, tops: Sequence, starts: Sequence, repeats: int, rnd,
-                  budget: float) -> tuple:
-    """`boosted`'s trajectories over values of the given `_shape`.  A draw
-    int(rnd() * t) needs no clamp below t: random() <= 1 - 2**-53, and
-    int((1 - 2**-53) * t) < t for every t below 2**53."""
-    N, costs = len(values), _stage_costs(len(values))
-    # Per rank of the descending order (ties by index), its class start.
+@lru_cache(maxsize=512)  # a chain size's searches share a few hundred
+def _binomial_cdf(n: int, x: int, e: int) -> array:
+    """The CDF of Binomial(n, x/e), x/e <= 1/2, at 0..n-1; its terms are
+    taken from their logs, so that none underflows, whatever n."""
+    step = math.log(x / (e - x))
+    logs = accumulate((step + math.log((n - k) / (k + 1)) for k in range(n - 1)),
+                      initial=n * math.log((e - x) / e))
+    return array("d", accumulate(map(math.exp, logs)))
+
+
+def _sampled_charge(ends: Iterable[int], costs: list[int], repeats: int, rnd) -> int:
+    """A budget-free search's charge past its trajectories' first samples,
+    from its class ends e_k, best first, and stage costs by t.  A trajectory
+    visits class k (start t_k = e_(k-1)) with probability (e_k - t_k)/e_k,
+    independently of the others (Durr and Hoyer's lemma over tie classes), so
+    it charges cost(N, t_k) * K_k, K_k ~ Binomial(repeats, (e_k - t_k)/e_k).
+    Draw order: one rnd() per class below the top, best first; K_k is the
+    inverse CDF there of the visits, or of the misses if those are rarer."""
+    total = 0
+    for t, e in pairwise(ends):
+        rare = e - t if e - t <= t else t
+        k = bisect_right(_binomial_cdf(repeats, rare, e), rnd())
+        total += costs[t] * (k if rare == e - t else repeats - k)
+    return total
+
+
+def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
+    """Bounded-error search: `repeats` threshold-search trajectories over one
+    sequence of mutually comparable values, `rnd` a bound `Random.random`
+    method.  Returns (value, witness_index, charged_total).  One-sided error
+    makes boosting safe: a repeat can only improve the value, and repeats=1
+    is a single Durr-Hoyer run.
+
+    A budget-free search over its classes is sampled.  Any other walks its
+    trajectories on disjoint segments of the stream, and returns the first
+    outcome of the best value: each walks ranks of the descending order (ties
+    by index), a uniform first sample, then stages that jump uniformly into
+    the strictly-better prefix at that stage's cost, until one would overrun
+    the budget.  A draw int(rnd() * t) needs no clamp below t: random() <=
+    1 - 2**-53, and int((1 - 2**-53) * t) < t for every t below 2**53.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    if not len(values):
+        raise ValueError("search needs at least one value")
+    # The classes: their values, best first, and starts (strictly-better counts t).
+    asc = sorted(values)
+    N = hi = len(asc)
+    if len(set(asc)) == N:  # a class per value, with no bisection
+        tops, starts = asc[::-1], range(N)
+    else:
+        starts = []
+        while hi:
+            starts.append(N - hi)
+            hi = bisect_left(asc, asc[hi - 1], 0, hi)
+        tops = [asc[~t] for t in starts]
+    costs = _stage_costs(N)
+    if _budget_free(N, len(starts) - 1, budget_constant):
+        charged = repeats + _sampled_charge((*starts[1:], N), costs, repeats, rnd)
+        return tops[0], values.index(tops[0]), charged
+    # Per rank of the descending order, its class start.
     greater = starts if len(starts) == N else [
         t for t, end in zip(starts, (*starts[1:], N)) for _ in range(end - t)]
-    total, best_t = repeats, N  # a charge per start; N is above every class start
+    budget, total, best_t = budget_constant * math.ceil(math.sqrt(N)), repeats, N
     for _ in range(repeats):
         r = int(rnd() * N)
         charged, t = 1, greater[r]
@@ -164,7 +151,7 @@ def _trajectories(values: Sequence, tops: Sequence, starts: Sequence, repeats: i
             r = int(rnd() * t)
             t = greater[r]
         total += charged - 1
-        if t < best_t:  # a better class starts earlier
+        if t < best_t:  # a better class starts earlier (N starts none)
             best, best_t = r, t
     # The winner is the j-th occurrence of its value, j its rank in its class.
     val = tops[starts.index(best_t)]
@@ -172,36 +159,3 @@ def _trajectories(values: Sequence, tops: Sequence, starts: Sequence, repeats: i
     for _ in range(best - best_t):
         index = values.index(val, index + 1)
     return values[index], index, total
-
-
-def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
-    """Bounded-error search: `repeats` threshold-search trajectories over one
-    sequence of mutually comparable values.
-
-    `rnd` is a bound `Random.random` method.  Returns (value, witness_index,
-    charged_total).  One-sided error makes boosting safe: a repeat can only
-    improve the value, and repeats=1 is a single Durr-Hoyer run.
-
-    A budget-free search (1 + the stage costs of its class starts below the
-    top fit the budget; a nan budget stops no stage) ends every trajectory in
-    the top class, so it returns the maximum and its first index, and draws
-    only its charge (`_sampled_charge`).  Any other search walks its
-    trajectories on disjoint segments of the stream and returns the first
-    outcome attaining the best value sampled: each walks ranks of the
-    descending value order (ties by index, ranks read off value classes),
-    takes its initial uniform index sample directly in rank space (a
-    bijection of index space), jumps each stage uniformly into the
-    strictly-better prefix and charges the modeled Grover cost for its size,
-    and aborts with its current (genuine, possibly non-maximal) element at a
-    stage whose cost would overrun the query budget.
-    """
-    if not 1 <= repeats <= MAX_REPEATS:
-        raise ValueError(f"repeats must lie in [1, {MAX_REPEATS}], got {repeats}")
-    if not len(values):
-        raise ValueError("search needs at least one value")
-    tops, starts = _shape(values)
-    N, costs = len(values), _stage_costs(len(values))
-    budget = budget_constant * math.ceil(math.sqrt(N))
-    if not 1 + sum(map(costs.__getitem__, starts[1:])) > budget:
-        return tops[0], values.index(tops[0]), _sampled_charge((*starts[1:], N), costs, repeats, rnd)
-    return _trajectories(values, tops, starts, repeats, rnd, budget)

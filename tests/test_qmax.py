@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from longtrail.qmax import MAX_REPEATS, QueryLedger, boosted, exhaustive, grover_stage_cost
+from longtrail.qmax import QueryLedger, boosted, exhaustive, grover_stage_cost
 
 from boosted_reference import sorted_boosted
 
@@ -21,17 +21,12 @@ def single(values, seed, budget_constant=23.0):
     return boosted(values, 1, random.Random(seed).random, budget_constant)
 
 
-def class_starts(values):
-    """The class starts below the top: each class's strictly-better count."""
-    desc = sorted(values, reverse=True)
-    return [t for t in range(1, len(desc)) if desc[t] != desc[t - 1]]
-
-
 def budget_free(values, budget_constant):
-    """Whether no trajectory over the values can meet the budget: 1 + the
-    stage costs of every class start below the top fit it (nan: none can)."""
-    N = len(values)
-    worst = 1 + sum(grover_stage_cost(N, t) for t in class_starts(values))
+    """Whether `boosted` samples the search: no trajectory could meet the
+    budget even with the k classes below the top at the costliest starts
+    t = 1..k, as 1 + their stage costs fit it (a nan budget stops no stage)."""
+    N, below = len(values), len(set(values)) - 1
+    worst = 1 + sum(grover_stage_cost(N, t) for t in range(1, below + 1))
     return not worst > budget_constant * math.ceil(math.sqrt(N))
 
 
@@ -124,10 +119,8 @@ class TestBoosted:
         assert (value, index) == max(runs, key=lambda run: run[0])[:2]
 
     def test_repeats_validation(self):
-        for repeats in (0, MAX_REPEATS + 1):
-            with pytest.raises(ValueError, match="repeats"):
-                boosted([1], repeats, random.Random(0).random, 23.0)
-        assert boosted([1, 2], MAX_REPEATS, random.Random(0).random, 23.0)[:2] == (2, 1)
+        with pytest.raises(ValueError):
+            boosted([1], 0, random.Random(0).random, 23.0)
 
 
 values_strategy = st.lists(st.integers(-1, 50), min_size=1, max_size=40)
@@ -217,11 +210,10 @@ search_values = st.one_of(
 
 
 class TestMatchesSortingReference:
-    """A search that is not budget-free walks the reference's trajectories:
+    """A search `boosted` does not sample walks the reference's trajectories:
     the same outcome, and the stream left where the reference leaves it.  A
-    budget-free one returns the maximum and its first index and draws once
-    per class below the top (its charge's distribution is
-    `TestSampledCharge`'s)."""
+    sampled one returns the maximum and its first index and draws once per
+    class below the top (its charge's distribution is `TestSampledCharge`'s)."""
 
     @settings(max_examples=300)
     @given(
@@ -236,7 +228,7 @@ class TestMatchesSortingReference:
         got_rnd, want_rnd = random.Random(seed), random.Random(seed)
         got = boosted(vals, repeats, got_rnd.random, budget_constant)
         if budget_free(vals, budget_constant):
-            top, below = max(vals), len(class_starts(vals))
+            top, below = max(vals), len(set(vals)) - 1
             assert got[:2] == (top, vals.index(top))
             assert repeats <= got[2] <= repeats * (1 + grover_stage_cost(len(vals), 1) * below)
             for _ in range(below):
@@ -247,23 +239,27 @@ class TestMatchesSortingReference:
 
     # Classes 3 (1 value), 2 (3) and 1 (12) start at t = 0, 1 and 4 of N = 16,
     # so a trajectory charges at most 1 + cost(16, 1) + cost(16, 4) = 1 + 4 + 2
-    # queries, and the budget is budget_constant * 4: 1.75 makes the search
-    # budget-free at exactly 7, 1.5 puts it one query over, and a nan budget
-    # stops no stage.
+    # queries, and the budget is budget_constant * 4.  `boosted` samples a
+    # search only if its two lower classes could not meet the budget at the
+    # costliest starts either, 1 + cost(16, 1) + cost(16, 2) = 8: 2 does that
+    # at exactly 8, 1.75 stops no trajectory (budget 7) but walks them, 1.5 is
+    # one query short of 7, and a nan budget stops no stage.
     _BOUNDARY = [1, 2, 1, 1, 2, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 1]
 
-    @pytest.mark.parametrize("budget_constant, free", [(1.75, True), (1.5, False), (math.nan, True)])
+    @pytest.mark.parametrize("budget_constant, sampled, stops", [
+        (2.0, True, False), (1.75, False, False), (1.5, False, True), (math.nan, True, False)])
     @pytest.mark.parametrize("repeats", [1, 6])
     @pytest.mark.parametrize("as_bytes", [False, True])
-    def test_budget_free_boundary(self, budget_constant, free, repeats, as_bytes):
+    def test_budget_free_boundary(self, budget_constant, sampled, stops, repeats, as_bytes):
         assert 1 + grover_stage_cost(16, 1) + grover_stage_cost(16, 4) == 7
+        assert 1 + grover_stage_cost(16, 1) + grover_stage_cost(16, 2) == 8
         vals = bytes(self._BOUNDARY) if as_bytes else self._BOUNDARY
-        assert budget_free(vals, budget_constant) is free
+        assert budget_free(vals, budget_constant) is sampled
         found = set()
         for seed in range(300):
             got_rnd, want_rnd = random.Random(seed), random.Random(seed)
             got = boosted(vals, repeats, got_rnd.random, budget_constant)
-            if free:
+            if sampled:
                 assert got[:2] == (3, 6) and repeats <= got[2] <= 7 * repeats, seed
                 want_rnd.random(), want_rnd.random()  # one draw per class below the top
             else:
@@ -271,7 +267,7 @@ class TestMatchesSortingReference:
             assert got_rnd.random() == want_rnd.random(), seed
             found.add(got[0])
         # Only a budget stop can end below the top class.
-        assert (found == {3}) is free
+        assert (found == {3}) is not stops
 
 
 def moments(xs):
@@ -318,6 +314,13 @@ class TestSampledCharge:
             moments, (got, want))
         assert abs(g_mean - w_mean) <= 6 * math.hypot(g_mean_se, w_mean_se) + 1e-9
         assert abs(g_var - w_var) <= 6 * math.hypot(g_var_se, w_var_se) + 1e-9
+
+    def test_many_repeats(self):
+        # Two classes, each visited by about half of 2,000 trajectories at
+        # cost(2, 1) = 2: the CDF's terms come from logs, as 2**-2000 underflows.
+        charges = [boosted([0, 1], 2000, random.Random(seed).random, 23.0)[2] for seed in range(20)]
+        assert all(2000 + 2 * 900 <= c <= 2000 + 2 * 1100 for c in charges)
+        assert 2000 + 2 * 980 <= sum(charges) / 20 <= 2000 + 2 * 1020
 
 
 def test_draws_need_no_clamp():
