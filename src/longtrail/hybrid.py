@@ -102,8 +102,7 @@ class SolveContext:
         self.search = _exhaustive_chunk
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
-            self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats,
-                                  cfg.budget_constant, g.edge_count)
+            self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats, cfg.budget_constant)
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -273,10 +272,13 @@ def _fold_maxima(lanes: int, n: int, high: int) -> int:
     return lanes
 
 
-def _slot_lanes(lanes: int, size: int) -> list[bytes]:
-    """`_combine`'s lanes of `size` bytes as bytes, one per slot."""
+def _fold_chunk(lanes: int, n: int, count: int) -> tuple[list[bytes], list[bytes]]:
+    """`_combine`'s lanes of `count` sets, n candidates each: per set its
+    cell, each slot's max over its candidates, and per slot the lanes' bytes."""
+    size = 4 * n * count
+    maxima = _fold_maxima(lanes, n, _lane_masks(size)[0]).to_bytes(size, "little")
     flat = lanes.to_bytes(size, "little")
-    return [flat[slot::4] for slot in range(4)]
+    return [maxima[at:at + 4] for at in range(0, size, 4 * n)], [flat[slot::4] for slot in range(4)]
 
 
 def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
@@ -285,10 +287,7 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     searched slot, and writes each searched slot's winner, the first index
     of a nonzero max, to winners[at + slot], as `qmax.exhaustive` finds
     them.  Slots not searched hold 0 in every lane (the padding contract)."""
-    size = 4 * n * count
-    maxima = _fold_maxima(lanes, n, _lane_masks(size)[0]).to_bytes(size, "little")
-    cells = [maxima[at:at + 4] for at in range(0, size, 4 * n)]
-    per_slot = _slot_lanes(lanes, size)
+    cells, per_slot = _fold_chunk(lanes, n, count)
 
     def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
         cell, start = cells[i], i * n
@@ -299,21 +298,24 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     return find
 
 
-def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float, top: int,
+def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float,
                       lanes: int, n: int, count: int) -> Callable:
     """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
-    slot, in slot order, on `stream`, over values 0..top.  If that makes
-    every search budget-free, each takes the fold's cell and first-max
-    winner, as `boosted` would, and draws its charge from its value counts."""
-    per_slot, rnd = _slot_lanes(lanes, 4 * n * count), stream.random
-    if _budget_free(n, top, budget_constant):
-        fold, costs = _exhaustive_chunk(lanes, n, count), _stage_costs(n)
+    slot, in slot order, on `stream`.  If every search of the chunk is
+    budget-free (values 0..top make at most top classes below the max), each
+    takes the fold's cell and first-max winner, as `boosted` would, and
+    draws its charge from the counts of its values."""
+    cells, per_slot = _fold_chunk(lanes, n, count)
+    rnd = stream.random
+    if _budget_free(n, max(map(max, cells)), budget_constant):
+        costs = _stage_costs(n)
 
         def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-            cell, total, start = fold(i, slots, winners, at)[0], repeats * len(slots), i * n
+            cell, start, total = cells[i], i * n, repeats * len(slots)
             for slot in slots:
                 if val := cell[slot]:  # else one class: no stage and no draw
                     values = per_slot[slot][start:start + n]
+                    winners[at + slot] = values.index(val)
                     ends = accumulate(filter(None, map(values.count, range(val, -1, -1))))
                     total += _sampled_charge(ends, costs, repeats, rnd)
             return cell, total
@@ -635,5 +637,14 @@ def theoretical_costs(m: int, alpha: float = 0.055) -> CostReport:
     quantum_count = 2.0 ** log2_quantum if log2_quantum < 1020 else float("inf")
     exp_c = log2_classical / m
     exp_q = log2_quantum / m
-    return CostReport(m, alpha, k_nominal, k_layer, classical_count, quantum_count,
-                      exp_c, exp_q, abs(exp_c - exp_q))
+    return CostReport(
+        m=m,
+        alpha=alpha,
+        k_nominal=k_nominal,
+        k_layer=k_layer,
+        classical_count=classical_count,
+        quantum_count=quantum_count,
+        exponent_classical=exp_c,
+        exponent_quantum=exp_q,
+        balance_gap=abs(exp_c - exp_q),
+    )

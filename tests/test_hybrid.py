@@ -528,7 +528,7 @@ class TestFold:
                     segment[slot::4] = bytes(n)
             lanes += segment
         got_stream, want_stream = random.Random(seed), random.Random(seed)
-        find = _stochastic_chunk(got_stream, repeats, budget_constant, top,
+        find = _stochastic_chunk(got_stream, repeats, budget_constant,
                                  int.from_bytes(lanes, "little"), n, count)
         winners = array("i", [-1]) * (4 * count)
         for i, orient in enumerate(orients):

@@ -22,7 +22,7 @@ from longtrail.hybrid import (
     HybridConfig,
     SolveContext,
     _exhaustive_chunk,
-    _slot_lanes,
+    _fold_chunk,
     reconstruct_from_witness,
     solve_hybrid,
     solve_recursive,
@@ -50,7 +50,7 @@ def expected_ledger(g, repeats):
     ctx = SolveContext.create(g, DET)
 
     def search(lanes, n, count):
-        find, per_slot = _exhaustive_chunk(lanes, n, count), _slot_lanes(lanes, 4 * n * count)
+        find, per_slot = _exhaustive_chunk(lanes, n, count), _fold_chunk(lanes, n, count)[1]
 
         def expected(i, slots, winners, at):
             cell, _ = find(i, slots, winners, at)
