@@ -79,7 +79,7 @@ def _budget_free(N: int, below: int, budget_constant: float) -> bool:
     return not 1 + sum(costs[1:min(below, N - 1) + 1]) > budget_constant * math.ceil(math.sqrt(N))
 
 
-@lru_cache(maxsize=512)  # a chain size's searches share a few hundred
+@lru_cache(maxsize=128)  # about 60 kB; a miss rebuilds one table, about 10 us
 def _binomial_cdf(n: int, x: int, e: int) -> array:
     """The CDF of Binomial(n, x/e), x/e <= 1/2, at 0..n-1; its terms are
     taken from their logs, so that none underflows, whatever n."""

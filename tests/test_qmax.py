@@ -239,22 +239,24 @@ class TestMatchesSortingReference:
 
     # Classes 3 (1 value), 2 (3) and 1 (12) start at t = 0, 1 and 4 of N = 16,
     # so a trajectory charges at most 1 + cost(16, 1) + cost(16, 4) = 1 + 4 + 2
-    # queries, and the budget is budget_constant * 4.  `boosted` samples a
-    # search only if its two lower classes could not meet the budget at the
-    # costliest starts either, 1 + cost(16, 1) + cost(16, 2) = 8: 2 does that
-    # at exactly 8, 1.75 stops no trajectory (budget 7) but walks them, 1.5 is
-    # one query short of 7, and a nan budget stops no stage.
+    # queries, and the budget is budget_constant * 4: 1.75 makes the search
+    # budget-free at exactly 7, 1.5 puts it one query over, and a nan budget
+    # stops no stage.  `boosted` samples a search only if its two lower
+    # classes could not meet the budget at the costliest starts either,
+    # 1 + cost(16, 1) + cost(16, 2) = 8: 2.0 does that at exactly 8, and
+    # 1.75 walks its trajectories, none of which can stop.
     _BOUNDARY = [1, 2, 1, 1, 2, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 1]
 
-    @pytest.mark.parametrize("budget_constant, sampled, stops", [
-        (2.0, True, False), (1.75, False, False), (1.5, False, True), (math.nan, True, False)])
+    @pytest.mark.parametrize("budget_constant, free",
+                             [(1.75, True), (1.5, False), (math.nan, True), (2.0, True)])
     @pytest.mark.parametrize("repeats", [1, 6])
     @pytest.mark.parametrize("as_bytes", [False, True])
-    def test_budget_free_boundary(self, budget_constant, sampled, stops, repeats, as_bytes):
+    def test_budget_free_boundary(self, budget_constant, free, repeats, as_bytes):
         assert 1 + grover_stage_cost(16, 1) + grover_stage_cost(16, 4) == 7
         assert 1 + grover_stage_cost(16, 1) + grover_stage_cost(16, 2) == 8
         vals = bytes(self._BOUNDARY) if as_bytes else self._BOUNDARY
-        assert budget_free(vals, budget_constant) is sampled
+        sampled = budget_free(vals, budget_constant)
+        assert sampled is (not 8 > budget_constant * 4)
         found = set()
         for seed in range(300):
             got_rnd, want_rnd = random.Random(seed), random.Random(seed)
@@ -267,7 +269,7 @@ class TestMatchesSortingReference:
             assert got_rnd.random() == want_rnd.random(), seed
             found.add(got[0])
         # Only a budget stop can end below the top class.
-        assert (found == {3}) is not stops
+        assert (found == {3}) is free
 
 
 def moments(xs):
