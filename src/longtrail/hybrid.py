@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
-from .qmax import QueryLedger, _budget_free, _sampled_charge, _stage_costs, boosted
+from .qmax import QueryLedger, _free_classes, _sampled_charge, _stage_costs, boosted
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -301,34 +301,28 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
 def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float,
                       lanes: int, n: int, count: int) -> Callable:
     """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
-    slot, in slot order, on `stream`.  If every search of the chunk is
-    budget-free (values 0..top make at most top classes below the max), each
-    takes the fold's cell and first-max winner, as `boosted` would, and
-    draws its charge from the counts of its values."""
+    slot, in slot order, on `stream`.  A search that `boosted` would sample
+    (few enough classes, counted here from the slot's max down) takes the
+    fold's cell and first-max winner and draws only its charge."""
     cells, per_slot = _fold_chunk(lanes, n, count)
-    rnd = stream.random
-    if _budget_free(n, max(map(max, cells)), budget_constant):
-        costs = _stage_costs(n)
-
-        def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-            cell, start, total = cells[i], i * n, repeats * len(slots)
-            for slot in slots:
-                if val := cell[slot]:  # else one class: no stage and no draw
-                    values = per_slot[slot][start:start + n]
-                    winners[at + slot] = values.index(val)
-                    ends = accumulate(filter(None, map(values.count, range(val, -1, -1))))
-                    total += _sampled_charge(ends, costs, repeats, rnd)
-            return cell, total
-        return find
+    rnd, costs, free = stream.random, _stage_costs(n), _free_classes(n, budget_constant)
 
     def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-        vals, total, start, stop = bytearray(4), 0, i * n, i * n + n
+        cell, start, total = cells[i], i * n, repeats * len(slots)
         for slot in slots:
-            val, idx, charged = boosted(per_slot[slot][start:stop], repeats, rnd, budget_constant)
-            total += charged
+            if not (val := cell[slot]) and free:  # one class: no stage and no draw
+                continue
+            values = per_slot[slot][start:start + n]
+            counts = list(filter(None, map(values.count, range(val, -1, -1))))
+            if len(counts) <= free:
+                winners[at + slot] = values.index(val)
+                total += _sampled_charge(accumulate(counts), costs, repeats, rnd)
+                continue
+            val, idx, charged = boosted(values, repeats, rnd, budget_constant)
+            cell, total = cell[:slot] + bytes((val,)) + cell[slot + 1:], total + charged - repeats
             if val:
-                vals[slot], winners[at + slot] = val, idx
-        return bytes(vals), total
+                winners[at + slot] = idx
+        return cell, total
     return find
 
 

@@ -9,7 +9,7 @@ exists or when the next stage would push the charged total past the query
 budget (budget_constant * ceil(sqrt(N))).  A budget stop returns the current
 threshold element, so errors are one-sided: the result is always a genuine
 element of the sequence, at worst a non-maximal one.  A budget-free search
-(`_budget_free`) is sampled, not walked: it returns the maximum and its first
+(`_free_classes`) is sampled, not walked: it returns the maximum and its first
 index, as the exhaustive scan does, and draws its charge from the exact
 distribution (`_sampled_charge`).  At the default budget_constant 23 every
 hybrid search is budget-free: its values are walk lengths 0..m <= 16.
@@ -71,12 +71,14 @@ def _stage_costs(N: int) -> list[int]:
     return [0] + [grover_stage_cost(N, t) for t in range(1, N + 1)]
 
 
-def _budget_free(N: int, below: int, budget_constant: float) -> bool:
-    """Whether no trajectory over N values in at most `below` + 1 classes can
-    meet the budget, with those below the top at the costliest starts t = 1,
-    2, ... (a stage's cost falls as t grows).  A nan budget stops no stage."""
-    costs = _stage_costs(N)
-    return not 1 + sum(costs[1:min(below, N - 1) + 1]) > budget_constant * math.ceil(math.sqrt(N))
+@lru_cache(maxsize=1024)
+def _free_classes(N: int, budget_constant: float) -> int:
+    """The most value classes a search over N values can have and still be
+    budget-free: no trajectory can meet the budget even with the classes
+    below the top at the costliest starts t = 1, 2, ... (a stage's cost falls
+    as t grows).  A nan budget stops no stage."""
+    budget = budget_constant * math.ceil(math.sqrt(N))
+    return sum(1 for total in accumulate(_stage_costs(N)[1:N], initial=1) if not total > budget)
 
 
 @lru_cache(maxsize=128)  # about 60 kB; a miss rebuilds one table, about 10 us
@@ -136,7 +138,7 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
             hi = bisect_left(asc, asc[hi - 1], 0, hi)
         tops = [asc[~t] for t in starts]
     costs = _stage_costs(N)
-    if _budget_free(N, len(starts) - 1, budget_constant):
+    if len(starts) <= _free_classes(N, budget_constant):
         charged = repeats + _sampled_charge((*starts[1:], N), costs, repeats, rnd)
         return tops[0], values.index(tops[0]), charged
     # Per rank of the descending order, its class start.
