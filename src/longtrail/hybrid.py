@@ -352,38 +352,53 @@ def _split_chain(m: int, k_pre: int) -> dict[int, tuple[int, ...]]:
     return {size: tuple(sorted(depths[size])) for size in sorted(depths)}
 
 
-@lru_cache(maxsize=64)
-def _first_depths(m: int, k_pre: int) -> dict[int, int]:
-    """Per state (S, v, u), keyed S << m | 1 << v | 1 << u, the depth where the
-    depth-first recursion (the full set's pairs v < u in order, then each
-    state's candidates, left half first) first reaches it: (m, k_pre) fix it."""
+def _walk(m: int, k_pre: int, arc_count: Sequence[int]) -> tuple[dict[int, int], Counter]:
+    """The depth-first recursion, structurally and each state once: the full
+    set's pairs v < u in order, then each state's candidates, left half
+    first; (m, k_pre) fix it.  Per state (S, v, u) of a size at several
+    depths, keyed S << m | 1 << v | 1 << u, the depth where it is first
+    reached; and per level its states' candidates times their end edges'
+    arc counts: a deterministic run's charges, with no walk length read."""
+    seen: set[int] = set()
     first: dict[int, int] = {}
     subsets: dict[int, tuple] = {}
-    sizes = _split_chain(m, k_pre)
-    patterns = {size: _patterns(size, _split_size(size, k_pre)) for size in sizes}
+    per_level: Counter = Counter()
+    chain = _split_chain(m, k_pre)
+    patterns = {size: _patterns(size, _split_size(size, k_pre)) for size in chain}
 
     def visit(S: int, lo: int, hi: int, depth: int) -> None:
         lo, hi = min(lo, hi), max(lo, hi)
         size = S.bit_count()
+        if len(chain[size]) > 1:
+            first[S << m | 1 << lo | 1 << hi] = depth
         h = _split_size(size, k_pre)
-        if S not in subsets:  # no list of halves on the layer: none is visited
-            bits = list(bits_of(S))
-            subsets[S] = bits, *(k > k_pre and _subsets(bits, k) for k in (h, size - h + 1))
-        bits, lefts, rights = subsets[S]
         sidx, tidx, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:3]
+        per_level[_LEVELS[depth]] += arc_count[lo] * arc_count[hi] * len(sidx)
+        if size - h + 1 <= k_pre:  # then h <= k_pre too: both halves on the layer
+            return
+        if S not in subsets:  # no list of left halves on the layer: none is visited
+            bits = list(bits_of(S))
+            subsets[S] = bits, h > k_pre and _subsets(bits, h), _subsets(bits, size - h + 1)
+        bits, lefts, rights = subsets[S]
+        # A state's key is its set and its endpoints' bits, in either order.
         for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
-            if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in first:
-                first[key] = depth + 1
+            if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in seen:
+                seen.add(key)
                 visit(lefts[i], lo, y, depth + 1)
-            if rights and y != hi and (key := rights[j] << m | 1 << y | 1 << hi) not in first:
-                first[key] = depth + 1
+            if y != hi and (key := rights[j] << m | 1 << y | 1 << hi) not in seen:
+                seen.add(key)
                 visit(rights[j], y, hi, depth + 1)
 
     for v, u in combinations(range(m), 2):
         visit((1 << m) - 1, v, u, 0)
-    del visit  # the closure refers to itself: free `first` and `subsets` now, not at a gc
-    # Keep the sizes at several depths.
-    return {key: d for key, d in first.items() if len(sizes[(key >> m).bit_count()]) > 1}
+    del visit  # the closure refers to itself: free `seen` and `subsets` now, not at a gc
+    return first, per_level
+
+
+@lru_cache(maxsize=64)
+def _first_depths(m: int, k_pre: int) -> dict[int, int]:
+    """`_walk`'s first depths, which the ledger files a state's charge under."""
+    return _walk(m, k_pre, (1,) * m)[0]
 
 
 _CHUNK = 32  # sets per batched gather and combine; the search order ignores it
@@ -537,49 +552,12 @@ def solve_hybrid(g: Graph, cfg: HybridConfig) -> SolveResult:
 # Deterministic-mode query prediction (independent of the solver's ledger)
 
 def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, int]:
-    """Closed-form per-level query counts for a deterministic run.
-
-    Walks the same recursion structurally (memoized on states, candidate
-    counts from the candidate patterns) without evaluating any walk lengths,
-    so it predicts exactly what the solver's ledger must report.
-    """
+    """Closed-form per-level query counts for a deterministic run: `_walk`
+    follows the solver's recursion without evaluating any walk lengths, so
+    it predicts exactly what the solver's ledger must report."""
     m = g.edge_count
     k_pre = LayerSpec.for_graph(m, alpha).k_pre if m else 0
-    if m <= k_pre:
-        return {}
-    seen: set[int] = set()
-    subsets: dict[int, tuple] = {}
-    per_level: Counter = Counter()
-    patterns: dict[int, Callable] = {}
-
-    def visit(S: int, lo: int, hi: int, depth: int) -> None:
-        lo, hi = min(lo, hi), max(lo, hi)
-        size = S.bit_count()
-        h = _split_size(size, k_pre)
-        if size not in patterns:
-            patterns[size] = _patterns(size, h)
-        sidx, tidx, prank = patterns[size](rank_in(S, lo), rank_in(S, hi))[:3]
-        per_level[_LEVELS[depth]] += g.arc_count[lo] * g.arc_count[hi] * len(sidx)
-        if size - h + 1 <= k_pre:  # then h <= k_pre too: both halves on the layer
-            return
-        if S not in subsets:  # no list of left halves on the layer: none is visited
-            bits = list(bits_of(S))
-            subsets[S] = bits, h > k_pre and _subsets(bits, h), _subsets(bits, size - h + 1)
-        bits, lefts, rights = subsets[S]
-        # A state's key is its set and its endpoints' bits, in either order.
-        for i, j, y in zip(sidx, tidx, map(bits.__getitem__, prank)):
-            if lefts and y != lo and (key := lefts[i] << m | 1 << lo | 1 << y) not in seen:
-                seen.add(key)
-                visit(lefts[i], lo, y, depth + 1)
-            if y != hi and (key := rights[j] << m | 1 << y | 1 << hi) not in seen:
-                seen.add(key)
-                visit(rights[j], y, hi, depth + 1)
-
-    for v in range(m):
-        for u in range(v + 1, m):
-            visit(g.full_edge_set, v, u, 0)
-    del visit  # as in `_first_depths`
-    return dict(per_level)
+    return dict(_walk(m, k_pre, g.arc_count)[1]) if m > k_pre else {}
 
 
 # ---------------------------------------------------------------------------
