@@ -41,7 +41,6 @@ exact, so the trail rebuild and the hybrid's layer are untouched.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -99,9 +98,6 @@ class DpTable:
     loop u hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
     hybrid fills those of its chain's sizes.  Equal cells are one object, the
     one `cells` maps them to.
-    `splits[S]` (S above the layer) holds at (rank(u) * (rank(u) - 1) / 2 +
-    rank(v)) * 4 + slot, v < u, the winning candidate's pattern index; -1: no
-    walk or no solve.
     """
 
     def __init__(self, g: Graph, k_pre: int = 0):
@@ -112,7 +108,6 @@ class DpTable:
         self.rows: dict[int, list] = {}
         self._single = [_SINGLE_EDGE[n] for n in g.arc_count]
         self.cells: dict[bytes, bytes] = {}
-        self.splits: dict[int, array] = {}
 
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b
@@ -121,15 +116,12 @@ class DpTable:
         return len(self.entries)
 
     def row(self, S: int) -> list:
-        """The memo row of S, its |S|^2 cells (with S's winner array above
-        the layer), made on first use."""
+        """The memo row of S, its |S|^2 cells, made on first use."""
         row = self.rows.get(S)
         if row is None:
             size = S.bit_count()
             row = self.rows[S] = [None] * (size * size)
             row[::size + 1] = [self._single[e] for e in bits_of(S)]
-            if size > self.k_pre:
-                self.splits[S] = array("i", [-1]) * (2 * size * (size - 1))
         return row
 
     def cell(self, S: int, v: int, u: int) -> tuple[int, ...] | None:

@@ -11,10 +11,10 @@ concatenation walkable.  The recursion bottoms out in table lookups once
 |S| <= k_pre.
 
 Each maximization runs through one query-counting search bound per run:
-in deterministic mode the max and its first index with a charge of one
-query per candidate, as `qmax.exhaustive` gives them (results provably equal
-to the full DP), `qmax.boosted` threshold searches on the seeded stream in
-stochastic mode (the fold's, with a sampled charge, where budget-free).
+in deterministic mode the max with a charge of one query per candidate, as
+`qmax.exhaustive` gives them (results provably equal to the full DP), and
+`qmax.boosted` threshold searches on the seeded stream in stochastic mode
+(the fold's, with a sampled charge, where budget-free).
 States are solved once per run and memoized (with no object per state, see
 DpTable), so stochastic references to a state share one realization
 (re-running nested searches per reference is not simulable).
@@ -29,8 +29,10 @@ per (size, h) (`_RankTable`).  A chunk of sets lays each set's half rows end
 to end, picks each rank pair's cells from them through the pattern's flat
 indexes, and combines them as 8-bit lanes of ints (`_combine`); in
 deterministic mode one fold of those lanes gives every set's maxima
-(`_fold_maxima`).  A witness (S, first arc, last arc) is rebuilt by
-chaining down to the layer.
+(`_fold_maxima`).  A search returns only a cell and a charge: no record of
+the winning candidate is kept.  A witness (S, first arc, last arc) is rebuilt
+by chaining down to the layer, each split found again from the memo's cells
+(the first candidate whose halves add up to the state's value).
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class SolveResult:
 
 class SolveContext:
     """Per-run solver state: the table and its memo, the ledger, and the one
-    search every maximization runs, (lanes, n, count) -> find (see
-    `_exhaustive_chunk`): the fold of a chunk's lanes, or `_stochastic_chunk`'s
-    boosted searches on the seeded stream."""
+    search every maximization runs, (lanes, n, count) -> find, find(i, slots)
+    -> (cell, charge) (see `_exhaustive_chunk`): the fold of a chunk's lanes,
+    or `_stochastic_chunk`'s boosted searches on the seeded stream."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
@@ -272,56 +274,47 @@ def _fold_maxima(lanes: int, n: int, high: int) -> int:
     return lanes
 
 
-def _fold_chunk(lanes: int, n: int, count: int) -> tuple[list[bytes], list[bytes]]:
+def _fold_cells(lanes: int, n: int, count: int) -> list[bytes]:
     """`_combine`'s lanes of `count` sets, n candidates each: per set its
-    cell, each slot's max over its candidates, and per slot the lanes' bytes."""
+    cell, each slot's max over its candidates."""
     size = 4 * n * count
     maxima = _fold_maxima(lanes, n, _lane_masks(size)[0]).to_bytes(size, "little")
-    flat = lanes.to_bytes(size, "little")
-    return [maxima[at:at + 4] for at in range(0, size, 4 * n)], [flat[slot::4] for slot in range(4)]
+    return [maxima[at:at + 4] for at in range(0, size, 4 * n)]
 
 
 def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     """The deterministic search of `count` sets' lanes, n candidates each:
-    find(i, slots, winners, at) returns set i's cell and its charge, n per
-    searched slot, and writes each searched slot's winner, the first index
-    of a nonzero max, to winners[at + slot], as `qmax.exhaustive` finds
-    them.  Slots not searched hold 0 in every lane (the padding contract)."""
-    cells, per_slot = _fold_chunk(lanes, n, count)
+    find(i, slots) returns set i's cell, each slot's max as `qmax.exhaustive`
+    finds it, and its charge, n per searched slot.  Slots not searched hold 0
+    in every lane (the padding contract)."""
+    cells = _fold_cells(lanes, n, count)
 
-    def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-        cell, start = cells[i], i * n
-        for slot in slots:
-            if val := cell[slot]:
-                winners[at + slot] = per_slot[slot].index(val, start) - start
-        return cell, n * len(slots)
+    def find(i: int, slots: list) -> tuple[bytes, int]:
+        return cells[i], n * len(slots)
     return find
 
 
 def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float,
                       lanes: int, n: int, count: int) -> Callable:
     """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
-    slot, in slot order, on `stream`.  A search that `boosted` would sample
-    (few enough classes, counted here from the slot's max down) takes the
-    fold's cell and first-max winner and draws only its charge."""
-    cells, per_slot = _fold_chunk(lanes, n, count)
+    slot, in slot order, on `stream`, over the slot's lane bytes.  A search
+    that `boosted` would sample (few enough classes, counted here from the
+    slot's max down) takes the fold's cell and draws only its charge."""
+    cells, flat = _fold_cells(lanes, n, count), lanes.to_bytes(4 * n * count, "little")
     rnd, costs, free = stream.random, _stage_costs(n), _free_classes(n, budget_constant)
 
-    def find(i: int, slots: list, winners, at: int) -> tuple[bytes, int]:
-        cell, start, total = cells[i], i * n, repeats * len(slots)
+    def find(i: int, slots: list) -> tuple[bytes, int]:
+        cell, total = cells[i], repeats * len(slots)
         for slot in slots:
             if not (val := cell[slot]) and free:  # one class: no stage and no draw
                 continue
-            values = per_slot[slot][start:start + n]
+            values = flat[4 * i * n + slot:4 * (i + 1) * n:4]
             counts = list(filter(None, map(values.count, range(val, -1, -1))))
             if len(counts) <= free:
-                winners[at + slot] = values.index(val)
                 total += _sampled_charge(accumulate(counts), costs, repeats, rnd)
                 continue
-            val, idx, charged = boosted(values, repeats, rnd, budget_constant)
+            val, _, charged = boosted(values, repeats, rnd, budget_constant)
             cell, total = cell[:slot] + bytes((val,)) + cell[slot + 1:], total + charged - repeats
-            if val:
-                winners[at + slot] = idx
         return cell, total
     return find
 
@@ -436,13 +429,13 @@ def _solve_chain(ctx: SolveContext) -> None:
                 finds.append(ctx.search(_combine(left, right), n, len(chunk)))
             for i, bits in enumerate(chunk):
                 S = edge_set(bits)
-                row, winners = table.row(S), table.splits[S]
+                row = table.row(S)
                 levels = [first[S << m | 1 << bits[rlo] | 1 << bits[rhi]]
                           for rlo, rhi in pairs] if len(depths) > 1 else depths * len(pairs)
-                for pair, ((rlo, rhi), find) in enumerate(zip(pairs, finds)):
+                for (rlo, rhi), find, level in zip(pairs, finds, levels):
                     slots, transpose, known = orient[arc_count[bits[rlo]], arc_count[bits[rhi]]]
-                    cell, total = find(i, slots, winners, pair * 4)
-                    key = _LEVELS[levels[pair]]
+                    cell, total = find(i, slots)
+                    key = _LEVELS[level]
                     charges[key] = charges.get(key, 0) + total
                     ends = known.get(cell)
                     if ends is None:
@@ -488,29 +481,25 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     if v > u:
         forward = (S, g.reverse_arc(b), g.reverse_arc(a))
         return reconstruct_from_witness(forward, table)[::-1]
-    ai, bi, rank_v, rank_u = a & 1, b & 1, rank_in(S, v), rank_in(S, u)
-    k = table.splits[S][(rank_u * (rank_u - 1) // 2 + rank_v) * 4 + ai * 2 + bi]
-    h = _split_size(size, table.k_pre)
-    # The winner's S' and pivot y, in `_build_pattern`'s order: S' runs over
-    # the h-subsets holding v, each one candidate (y = u) if it holds u, else
-    # h (y = v, then S''s other edges).
-    for rest in combinations([e for e in bits_of(S) if e != v], h - 1):
-        pivots = (u,) if u in rest else (v, *rest)
-        if k < len(pivots):
-            break
-        k -= len(pivots)
-    S1, y = edge_set((v, *rest)), pivots[k]
-    T = S & ~S1 | 1 << y
+    ai, bi, h = a & 1, b & 1, _split_size(size, table.k_pre)
     target = table.cell(S, v, u)[ai * 2 + bi]
-    lf, rf = table.cell(S1, v, y), table.cell(T, y, u)
-    for c in (0, 1):
-        lv, rv = lf[ai * 2 + c], rf[c * 2 + bi]
-        if lv and rv and lv + rv - 1 == target:
-            break
-    else:
-        raise ValueError(
-            f"inconsistent witness: no pivot orientation reproduces L = {target}"
-        )
+    # The split: the first candidate (S', y), in `_build_pattern`'s order,
+    # with a pivot orientation c whose halves add up to the target.  Where
+    # the target is the candidates' max (deterministic mode, budget-free
+    # searches), that is `qmax.exhaustive`'s first index.  S' runs over the
+    # h-subsets holding v, each one candidate (y = u) if it holds u, else h
+    # (y = v, then S''s other edges).
+    candidates = ((S1, y, S & ~S1 | 1 << y)
+                  for rest in combinations([e for e in bits_of(S) if e != v], h - 1)
+                  for S1 in (edge_set((v, *rest)),)
+                  for y in ((u,) if u in rest else (v, *rest)))
+    found = next(((S1, y, T, c) for S1, y, T in candidates
+                  for c, lv, rv in zip((0, 1), table.cell(S1, v, y)[ai * 2:ai * 2 + 2],
+                                       table.cell(T, y, u)[bi::2])
+                  if lv and rv and lv + rv - 1 == target), None)
+    if found is None:
+        raise ValueError(f"inconsistent witness: no split reproduces L = {target}")
+    S1, y, T, c = found
     pivot_arc = 2 * y + c
     left = reconstruct_from_witness((S1, a, pivot_arc), table)
     right = reconstruct_from_witness((T, pivot_arc, b), table)

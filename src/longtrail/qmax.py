@@ -65,7 +65,7 @@ def exhaustive(values: Sequence) -> tuple:
     return best, values.index(best), len(values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a hybrid solve searches one N per chain size, at most 5
 def _stage_costs(N: int) -> list[int]:
     """Charged cost of one stage for every possible t, indexed by t."""
     return [0] + [grover_stage_cost(N, t) for t in range(1, N + 1)]

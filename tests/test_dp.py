@@ -204,7 +204,7 @@ class TestPrecomputeLayer:
         # Singleton states are implicit, so the layer stores no compound
         # states at all.
         assert len(table.entries) == 0
-        assert table.rows == {} and table.splits == {}
+        assert table.rows == {}
 
     def test_layer_is_complete(self):
         # Every set of 2 <= |S| <= k_pre has a row with every cell set, and
@@ -214,7 +214,6 @@ class TestPrecomputeLayer:
         assert spec.k_pre >= 3
         table = precompute_layer(g, spec)
         assert len(table.rows) == sum(math.comb(9, k) for k in range(2, spec.k_pre + 1))
-        assert table.splits == {}
         for k in range(2, spec.k_pre + 1):
             for combo in combinations(range(9), k):
                 S = edge_set(combo)

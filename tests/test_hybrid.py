@@ -1,7 +1,6 @@
 import gc
 import math
 import random
-from array import array
 from itertools import combinations, product
 
 import pytest
@@ -236,7 +235,6 @@ class TestSchedule:
                 if size in sizes:
                     assert len(row) == size * size and None not in row, (m, S)
                     solved[size] += size * (size - 1) // 2
-                    assert len(ctx.table.splits[S]) == 2 * size * (size - 1)
             assert solved == {s: math.comb(m, s) * math.comb(s, 2) for s in sizes}
 
     def test_set_off_the_chain_is_rejected(self):
@@ -281,39 +279,37 @@ class TestPaddingContract:
 
 
 class TestSplitRecords:
-    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
-    def test_every_record_rebuilds_its_cell(self, mode):
-        # Each winner-array entry is a candidate index; the rebuild derives
-        # the pivot from it.  Every cell with a walk must rebuild to a valid
-        # walk of the cell's length from v to u, and only those cells hold
-        # one; entries of states not solved stay -1.  A set's array holds
-        # four entries per edge pair v < u, at the pair's rank.
+    @pytest.mark.parametrize("mode, budget_constant", [
+        ("deterministic", 23.0), ("stochastic", 23.0), ("stochastic", 0.5),
+    ], ids=["deterministic", "stochastic", "stochastic-0.5"])
+    def test_every_record_rebuilds_its_cell(self, mode, budget_constant):
+        # No winner is stored: the rebuild finds each split again from the
+        # memo's cells.  Every nonzero slot of every state above the layer
+        # must rebuild to a valid walk of the slot's length from v to u.  At
+        # the default constant every cell is its candidates' max; at 0.5 most
+        # searches walk, so some cells sit below it, and some candidate must
+        # still add up to them.
+        below = 0
         for g in (random_graph(5, 9, 14), LOOPS_7, LOOPS_5):
             m = g.edge_count
-            ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=3))
+            cfg = HybridConfig(mode=mode, seed=3, budget_constant=budget_constant)
+            ctx = SolveContext.create(g, cfg)
             for v in range(m):
                 for u in range(m):
                     solve_recursive(ctx, g.full_edge_set, v, u)
-            assert ctx.table.splits
             solved = 0
-            for S, winners in ctx.table.splits.items():
+            for S in ctx.table.rows:
                 size = S.bit_count()
-                assert size > ctx.k_pre
-                assert winners.typecode == "i" and len(winners) == 2 * size * (size - 1)
-                pairs = list(combinations(enumerate(bits_of(S)), 2))
-                ranks = [ru * (ru - 1) // 2 + rv for (rv, _), (ru, _) in pairs]
-                # The pair ranks cover the array's records one to one.
-                assert sorted(ranks) == list(range(len(pairs)))
-                for ((rv, v), (ru, u)), pair in zip(pairs, ranks):
-                    record = winners[pair * 4:(pair + 1) * 4]
-                    cell = ctx.table.cell(S, v, u)
-                    if cell is None:
-                        assert list(record) == [-1] * 4, (S, v, u)
-                        continue
+                if size <= ctx.k_pre:
+                    continue
+                h = _split_size(size, ctx.k_pre)
+                for v, u in combinations(bits_of(S), 2):
                     solved += 1
-                    for slot, idx in enumerate(record):
-                        assert (idx >= 0) == (cell[slot] > 0), (S, v, u, slot)
-                        if idx < 0:
+                    cell = ctx.table.cell(S, v, u)
+                    candidates = _reference_candidates(S, v, u, h)
+                    for slot in range(4):
+                        below += cell[slot] < max(_slot_values(ctx.table, candidates, v, u, slot))
+                        if not cell[slot]:
                             continue
                         wit = (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
                         trail = reconstruct_from_witness(wit, ctx.table)
@@ -321,6 +317,7 @@ class TestSplitRecords:
                         assert len(trail) == cell[slot]
                         assert trail[0] == v and trail[-1] == u
             assert solved
+        assert bool(below) == (budget_constant < 1), below
 
 
 class TestInterning:
@@ -385,6 +382,19 @@ def _rank(S, e):
     return (S & ((1 << e) - 1)).bit_count()
 
 
+def _slot_values(table, candidates, lo, hi, slot):
+    """Per candidate (S', y, T) of the state (S, lo, hi), its value in the
+    slot: the max over pivot orientations c of L(S', lo, y) + L(T, y, hi) - 1
+    from the memo's cells, or 0 where no c pairs two walks."""
+    a, b = slot >> 1, slot & 1
+    values = []
+    for S1, y, T in candidates:
+        left, right = table.cell(S1, lo, y), table.cell(T, y, hi)
+        values.append(max((left[a * 2 + c] + right[c * 2 + b] - 1
+                           for c in (0, 1) if left[a * 2 + c] and right[c * 2 + b]), default=0))
+    return values
+
+
 class TestCandidatePattern:
     def test_patterns_map_onto_the_reference_enumeration(self):
         # On a set whose edges are spread out, each rank-space pattern must
@@ -412,6 +422,8 @@ class TestCandidatePattern:
                     lo, hi = bits[rlo], bits[rhi]
                     want = _reference_candidates(S, lo, hi, h)
                     sidx, tidx, prank, pick_left, pick_right = pattern(rlo, rhi)
+                    # The candidate-count rule, for every rank pair.
+                    assert len(sidx) == math.comb(size - 2, h - 2) + h * math.comb(size - 2, h - 1)
                     got = [
                         (left_sets[i], bits[r], right_sets[j])
                         for i, r, j in zip(sidx, prank, tidx)
@@ -482,7 +494,7 @@ class TestFold:
     @example(1722, 32, 40, 1)
     @example(3102, 32, 3, 2)
     @example(1024, 7, 0, 3)
-    def test_cells_and_winners_equal_exhaustive(self, n, count, top, seed):
+    def test_cells_and_charges_equal_exhaustive(self, n, count, top, seed):
         # Lanes as `_combine` returns them, values 0 (no walk) to `top`: per
         # set an orientation of its end edges, whose missing slots hold 0 in
         # every candidate, as a loop's padding makes them.
@@ -498,22 +510,20 @@ class TestFold:
                 segment[1::4] = segment[3::4] = bytes(n)
             lanes += segment
         find = _exhaustive_chunk(int.from_bytes(lanes, "little"), n, count)
-        winners = array("i", [-1]) * (4 * count)
         for i, orient in enumerate(orients):
             slots = _ORIENT[orient][0]
-            cell, charged = find(i, slots, winners, 4 * i)
+            cell, charged = find(i, slots)
             assert charged == n * len(slots)
             for slot in range(4):
-                val, idx, _ = exhaustive(lanes[4 * i * n + slot:4 * (i + 1) * n:4])
+                val, _, _ = exhaustive(lanes[4 * i * n + slot:4 * (i + 1) * n:4])
                 assert cell[slot] == val, (i, slot)
-                assert winners[4 * i + slot] == (idx if val else -1), (i, slot)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 80), st.integers(1, 8), st.integers(0, 12), st.integers(1, 30),
            st.sampled_from([0.5, 2.0, 23.0]), st.integers(0, 2 ** 32))
     @example(1722, 4, 12, 24, 23.0, 1)
     @example(30, 8, 0, 24, 23.0, 2)
-    def test_boosted_cells_winners_and_stream_equal_per_slot_boosted(
+    def test_boosted_cells_charges_and_stream_equal_per_slot_boosted(
             self, n, count, top, repeats, budget_constant, seed):
         # Lanes as above, with some slots of no walk at all besides the
         # padding's; one chunk serves every set, as in a solve.
@@ -530,19 +540,17 @@ class TestFold:
         got_stream, want_stream = random.Random(seed), random.Random(seed)
         find = _stochastic_chunk(got_stream, repeats, budget_constant,
                                  int.from_bytes(lanes, "little"), n, count)
-        winners = array("i", [-1]) * (4 * count)
         for i, orient in enumerate(orients):
             slots = _ORIENT[orient][0]
-            cell, charged = find(i, slots, winners, 4 * i)
+            cell, charged = find(i, slots)
             total = 0
             for slot in range(4):
-                val, idx = 0, -1
+                val = 0
                 if slot in slots:  # in slot order, as the chunk searches them
-                    val, idx, queries = boosted(lanes[4 * i * n + slot:4 * (i + 1) * n:4],
-                                                repeats, want_stream.random, budget_constant)
+                    val, _, queries = boosted(lanes[4 * i * n + slot:4 * (i + 1) * n:4],
+                                              repeats, want_stream.random, budget_constant)
                     total += queries
                 assert cell[slot] == val, (i, slot)
-                assert winners[4 * i + slot] == (idx if val else -1), (i, slot)
             assert charged == total, i
         assert got_stream.random() == want_stream.random()
 
@@ -553,9 +561,10 @@ def _solved_states(g, per_size=None):
     ctx = SolveContext.create(g, DET)
     solve_recursive(ctx, g.full_edge_set, 0, 1)
     by_size = {}
-    for S in ctx.table.splits:
-        by_size.setdefault(S.bit_count(), []).extend(
-            (S, v, u) for v, u in combinations(bits_of(S), 2))
+    for S in ctx.table.rows:
+        if S.bit_count() > ctx.k_pre:
+            by_size.setdefault(S.bit_count(), []).extend(
+                (S, v, u) for v, u in combinations(bits_of(S), 2))
     rnd = random.Random(5)
     return ctx, [state for states in by_size.values()
                  for state in (states if per_size is None else rnd.sample(states, per_size))]
@@ -586,30 +595,33 @@ class TestBudgetFree:
 class TestFirstMaxima:
     @pytest.mark.parametrize("g, per_size", [
         (LOOPS_7, None), (LOOPS_5, None), (random_graph(5, 9, 14), None),
-        (random_graph(4, 12, 9), 25),
-    ], ids=["loops7", "loops5", "m9", "m12-sample"])
+        (random_graph(4, 12, 9), 25), (random_graph(2, 6, 0), None),
+    ], ids=["loops7", "loops5", "m9", "m12-sample", "m6-ties"])
     def test_cells_and_records_are_first_maxima(self, g, per_size):
-        # Every deterministic cell and split record, on the witness path or
-        # off it, is `exhaustive`'s value and first index over the state's
-        # candidate values, recomputed from the memo rows in the reference
-        # enumeration's order.
+        # Every deterministic cell, on the witness path or off it, is
+        # `exhaustive`'s value over the state's candidate values, recomputed
+        # from the memo rows in the reference enumeration's order; and its
+        # rebuilt walk is the one through the candidate at `exhaustive`'s
+        # first index, with the first pivot orientation that adds up to it
+        # (on m6-ties some winners have both orientations adding up).
         ctx, states = _solved_states(g, per_size)
         table = ctx.table
         for S, lo, hi in states:
-            h = _split_size(S.bit_count(), ctx.k_pre)
-            halves = [(table.cell(S1, lo, y), table.cell(T, y, hi))
-                      for S1, y, T in _reference_candidates(S, lo, hi, h)]
+            candidates = _reference_candidates(S, lo, hi, _split_size(S.bit_count(), ctx.k_pre))
             cell = table.cell(S, lo, hi)
-            rv, ru = _rank(S, lo), _rank(S, hi)
-            record = table.splits[S][(ru * (ru - 1) // 2 + rv) * 4:][:4]
             for slot in range(4):
                 a, b = slot >> 1, slot & 1
-                values = [max((left[a * 2 + c] + right[c * 2 + b] - 1
-                               for c in (0, 1) if left[a * 2 + c] and right[c * 2 + b]), default=0)
-                          for left, right in halves]
-                val, idx, _ = exhaustive(values)
+                val, idx, _ = exhaustive(_slot_values(table, candidates, lo, hi, slot))
                 assert cell[slot] == val, (S, lo, hi, slot)
-                assert record[slot] == (idx if val else -1), (S, lo, hi, slot)
+                if not val:
+                    continue
+                S1, y, T = candidates[idx]
+                left, right = table.cell(S1, lo, y), table.cell(T, y, hi)
+                c = next(c for c in (0, 1) if left[a * 2 + c] and right[c * 2 + b]
+                         and left[a * 2 + c] + right[c * 2 + b] - 1 == val)
+                walk = (reconstruct_from_witness((S1, 2 * lo + a, 2 * y + c), table)
+                        + reconstruct_from_witness((T, 2 * y + c, 2 * hi + b), table)[1:])
+                assert reconstruct_from_witness((S, 2 * lo + a, 2 * hi + b), table) == walk
 
 
 class TestWitnessReconstruction:

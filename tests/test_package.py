@@ -68,3 +68,31 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, `from __future__` aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_check_finds_a_dead_name():
+    assert _unused_imports("import os\nfrom array import array\nos.sep\n") == ["array:2"]
+    assert _unused_imports("import os.path\nfrom a import b as c\nos.path, c\n") == []
+
+
+def test_no_unused_imports_in_the_package():
+    # `__init__.py` imports to re-export; every other module uses what it imports.
+    paths = sorted(Path(longtrail.__file__).parent.glob("*.py"))
+    found = {path.name: _unused_imports(path.read_text())
+             for path in paths if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}

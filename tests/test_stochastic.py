@@ -1,7 +1,7 @@
 """Stochastic mode at the default budget constant, checked against the
 deterministic solve.  Every hybrid search is budget-free there
 (`TestBudgetFree`), so every trajectory ends in its search's top class:
-stochastic cells, winners and trails equal the deterministic ones, and only
+stochastic cells and trails equal the deterministic ones, and only
 the charges are random.  Their expectation has a closed form (Durr and
 Hoyer's lemma over tie classes): a search of N values with R repeats charges
 R * (1 + sum over the classes k below the top of (e_k - t_k)/e_k * cost(N, t_k))
@@ -22,7 +22,6 @@ from longtrail.hybrid import (
     HybridConfig,
     SolveContext,
     _exhaustive_chunk,
-    _fold_chunk,
     reconstruct_from_witness,
     solve_hybrid,
     solve_recursive,
@@ -50,11 +49,11 @@ def expected_ledger(g, repeats):
     ctx = SolveContext.create(g, DET)
 
     def search(lanes, n, count):
-        find, per_slot = _exhaustive_chunk(lanes, n, count), _fold_chunk(lanes, n, count)[1]
+        find, flat = _exhaustive_chunk(lanes, n, count), lanes.to_bytes(4 * n * count, "little")
 
-        def expected(i, slots, winners, at):
-            cell, _ = find(i, slots, winners, at)
-            return cell, sum(expected_charge(per_slot[slot][i * n:(i + 1) * n], repeats)
+        def expected(i, slots):
+            cell, _ = find(i, slots)
+            return cell, sum(expected_charge(flat[4 * i * n + slot:4 * (i + 1) * n:4], repeats)
                              for slot in slots)
         return expected
     ctx.search = search
@@ -70,7 +69,6 @@ def test_stochastic_memo_and_trail_equal_deterministic(name):
     for ctx in (det, stoch):
         solve_recursive(ctx, E, 0, 1)
     assert stoch.table.rows == det.table.rows
-    assert stoch.table.splits == det.table.splits
     # The trail `solve_hybrid` returns: the first pair's of the longest.
     length, witness = max((solve_recursive(stoch, E, v, u) for v in range(m) for u in range(m)),
                           key=lambda found: found[0] or 0)
