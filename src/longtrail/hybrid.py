@@ -14,7 +14,7 @@ Each maximization runs through one query-counting search bound per run:
 in deterministic mode the max with a charge of one query per candidate, as
 `qmax.exhaustive` gives them (results provably equal to the full DP), and
 `qmax.boosted` threshold searches on the seeded stream in stochastic mode
-(the fold's, with a sampled charge, where budget-free).
+(the fold's, with a sampled charge, where budget-free), planned per array.
 States are solved once per run and memoized (with no object per state, see
 DpTable), so stochastic references to a state share one realization
 (re-running nested searches per reference is not simulable).
@@ -40,16 +40,17 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, combinations, islice, repeat
+from itertools import combinations, islice, repeat
 from operator import add, iadd, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
-from .qmax import QueryLedger, _free_classes, _sampled_charge, _stage_costs, boosted
+from .qmax import QueryLedger, _plan, _run
 
 HYBRID_DET_MAX_EDGES = 20
 HYBRID_STOCH_MAX_EDGES = 16
@@ -94,7 +95,7 @@ class SolveContext:
     """Per-run solver state: the table and its memo, the ledger, and the one
     search every maximization runs, (lanes, n, count) -> find, find(i, slots)
     -> (cell, charge) (see `_exhaustive_chunk`): the fold of a chunk's lanes,
-    or `_stochastic_chunk`'s boosted searches on the seeded stream."""
+    or `_stochastic_chunk`'s planned boosted searches on the seeded stream."""
 
     def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
         self.graph = g
@@ -104,7 +105,8 @@ class SolveContext:
         self.search = _exhaustive_chunk
         if cfg.mode == MODE_STOCHASTIC:
             repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
-            self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats, cfg.budget_constant)
+            self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats,
+                                  cfg.budget_constant, {})
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
@@ -294,26 +296,38 @@ def _exhaustive_chunk(lanes: int, n: int, count: int) -> Callable:
     return find
 
 
-def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float,
+def _stochastic_chunk(stream: random.Random, repeats: int, budget_constant: float, plans: dict,
                       lanes: int, n: int, count: int) -> Callable:
     """`_exhaustive_chunk`'s find with `qmax.boosted`'s search per searched
-    slot, in slot order, on `stream`, over the slot's lane bytes.  A search
-    that `boosted` would sample (few enough classes, counted here from the
-    slot's max down) takes the fold's cell and draws only its charge."""
+    slot, in slot order, on `stream`, run from the slot array's plan
+    (`qmax._plan`, kept in `plans` by the array's bytes): a sampled plan
+    takes the fold's cell and draws only its charge, a walked one runs in
+    `qmax._run`.  An all-zero slot is skipped where its plan draws nothing.
+    `plans` holds one n at a time (no other length can recur); a lone set's
+    plans (the full set's, the longest, rarely recur) serve its chunk only."""
     cells, flat = _fold_cells(lanes, n, count), lanes.to_bytes(4 * n * count, "little")
-    rnd, costs, free = stream.random, _stage_costs(n), _free_classes(n, budget_constant)
+    rnd = stream.random
+    if (zero := bytes(n)) not in plans:  # a new n, or a cleared memo
+        plans.clear()
+        plans[zero] = _plan(zero, repeats, budget_constant)
+    skip, memo = plans[zero][3] is None, plans if count > 1 else {}
 
     def find(i: int, slots: list) -> tuple[bytes, int]:
-        cell, total = cells[i], repeats * len(slots)
+        cell, total, start, stop = cells[i], repeats * len(slots), 4 * i * n, 4 * (i + 1) * n
         for slot in slots:
-            if not (val := cell[slot]) and free:  # one class: no stage and no draw
+            if not cell[slot] and skip:
                 continue
-            values = flat[4 * i * n + slot:4 * (i + 1) * n:4]
-            counts = list(filter(None, map(values.count, range(val, -1, -1))))
-            if len(counts) <= free:
-                total += _sampled_charge(accumulate(counts), costs, repeats, rnd)
+            if (found := memo.get(values := flat[start + slot:stop:4])) is None:
+                if len(memo) >= _PLANS:
+                    memo.clear()
+                found = memo[values] = _plan(values, repeats, budget_constant)
+            _, base, draws, walk = found
+            if walk is None:
+                total += base
+                for cdf, step in draws:
+                    total += step * bisect_right(cdf, rnd())
                 continue
-            val, _, charged = boosted(values, repeats, rnd, budget_constant)
+            val, _, charged = _run(found, repeats, rnd)
             cell, total = cell[:slot] + bytes((val,)) + cell[slot + 1:], total + charged - repeats
         return cell, total
     return find
@@ -395,6 +409,7 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
 
 
 _CHUNK = 32  # sets per batched gather and combine; the search order ignores it
+_PLANS = 4096  # the most search plans a stochastic solve keeps; a full memo is cleared
 
 
 def _solve_chain(ctx: SolveContext) -> None:

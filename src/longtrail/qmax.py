@@ -11,8 +11,9 @@ threshold element, so errors are one-sided: the result is always a genuine
 element of the sequence, at worst a non-maximal one.  A budget-free search
 (`_free_classes`) is sampled, not walked: it returns the maximum and its first
 index, as the exhaustive scan does, and draws its charge from the exact
-distribution (`_sampled_charge`).  At the default budget_constant 23 every
-hybrid search is budget-free: its values are walk lengths 0..m <= 16.
+distribution.  At the default budget_constant 23 every hybrid search is
+budget-free: its values are walk lengths 0..m <= 16.  A search is set up
+once per value array (`_plan`) and run per call (`_run`).
 
 A search runs over a sequence of mutually comparable values (a list, or the
 hybrid's bytes) and returns (value, index, charged).  The caller encodes "no
@@ -33,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, pairwise
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -91,42 +92,18 @@ def _binomial_cdf(n: int, x: int, e: int) -> array:
     return array("d", accumulate(map(math.exp, logs)))
 
 
-def _sampled_charge(ends: Iterable[int], costs: list[int], repeats: int, rnd) -> int:
-    """A budget-free search's charge past its trajectories' first samples,
-    from its class ends e_k, best first, and stage costs by t.  A trajectory
-    visits class k (start t_k = e_(k-1)) with probability (e_k - t_k)/e_k,
+def _plan(values: Sequence, repeats: int, budget_constant: float) -> tuple:
+    """A search's set-up, once per value array, for `repeats` trajectories
+    at `budget_constant`: (top, base, draws, walk), which `_run` runs.  A
+    budget-free search is sampled (`walk` is None): a trajectory visits class
+    k (start t_k = e_(k-1), end e_k) with probability p_k = (e_k - t_k)/e_k,
     independently of the others (Durr and Hoyer's lemma over tie classes), so
-    it charges cost(N, t_k) * K_k, K_k ~ Binomial(repeats, (e_k - t_k)/e_k).
-    Draw order: one rnd() per class below the top, best first; K_k is the
-    inverse CDF there of the visits, or of the misses if those are rarer."""
-    total = 0
-    for t, e in pairwise(ends):
-        rare = e - t if e - t <= t else t
-        k = bisect_right(_binomial_cdf(repeats, rare, e), rnd())
-        total += costs[t] * (k if rare == e - t else repeats - k)
-    return total
-
-
-def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
-    """Bounded-error search: `repeats` threshold-search trajectories over one
-    sequence of mutually comparable values, `rnd` a bound `Random.random`
-    method.  Returns (value, witness_index, charged_total).  One-sided error
-    makes boosting safe: a repeat can only improve the value, and repeats=1
-    is a single Durr-Hoyer run.
-
-    A budget-free search over its classes is sampled.  Any other walks its
-    trajectories on disjoint segments of the stream, and returns the first
-    outcome of the best value: each walks ranks of the descending order (ties
-    by index), a uniform first sample, then stages that jump uniformly into
-    the strictly-better prefix at that stage's cost, until one would overrun
-    the budget.  A draw int(rnd() * t) needs no clamp below t: random() <=
-    1 - 2**-53, and int((1 - 2**-53) * t) < t for every t below 2**53.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    if not len(values):
-        raise ValueError("search needs at least one value")
-    # The classes: their values, best first, and starts (strictly-better counts t).
+    the charge past the first samples is base + the sum over `draws`, one
+    (cdf, step) per class below the top, best first, of step * K, K =
+    bisect_right(cdf, rnd()) ~ Binomial(repeats, p_k) (or its misses, step <
+    0, if rarer).  Any other search walks: `walk` holds the classes' values,
+    best first, starts (strictly-better counts t), each rank's class start,
+    the budget and the stage costs by t."""
     asc = sorted(values)
     N = hi = len(asc)
     if len(set(asc)) == N:  # a class per value, with no bisection
@@ -139,12 +116,31 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
         tops = [asc[~t] for t in starts]
     costs = _stage_costs(N)
     if len(starts) <= _free_classes(N, budget_constant):
-        charged = repeats + _sampled_charge((*starts[1:], N), costs, repeats, rnd)
-        return tops[0], values.index(tops[0]), charged
-    # Per rank of the descending order, its class start.
+        draws = tuple((_binomial_cdf(repeats, min(e - t, t), e), costs[t] if e - t <= t else -costs[t])
+                      for t, e in pairwise((*starts[1:], N)))
+        return tops[0], -repeats * sum(min(step, 0) for _, step in draws), draws, None
     greater = starts if len(starts) == N else [
         t for t, end in zip(starts, (*starts[1:], N)) for _ in range(end - t)]
-    budget, total, best_t = budget_constant * math.ceil(math.sqrt(N)), repeats, N
+    return tops[0], 0, (), (tops, starts, greater, budget_constant * math.ceil(math.sqrt(N)), costs)
+
+
+def _run(plan: tuple, repeats: int, rnd) -> tuple:
+    """`_plan`'s search, planned for these repeats, on the stream: (value, j,
+    charged), won by the value's occurrence j after its first (a sampled one
+    by the top's first).  Walked trajectories use disjoint segments of the
+    stream; each walks ranks of the descending order (ties by index), a
+    uniform first sample, then stages that jump uniformly into the
+    strictly-better prefix at that stage's cost, until one would overrun the
+    budget; the first outcome of the best value wins.  A draw int(rnd() * t)
+    needs no clamp: random() <= 1 - 2**-53, and int((1 - 2**-53) * t) < t
+    for every t below 2**53."""
+    top, base, draws, walk = plan
+    if walk is None:
+        for cdf, step in draws:
+            base += step * bisect_right(cdf, rnd())
+        return top, 0, repeats + base
+    tops, starts, greater, budget, costs = walk
+    N = best_t = len(greater)
     for _ in range(repeats):
         r = int(rnd() * N)
         charged, t = 1, greater[r]
@@ -152,12 +148,26 @@ def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tupl
             charged += costs[t]
             r = int(rnd() * t)
             t = greater[r]
-        total += charged - 1
+        base += charged - 1
         if t < best_t:  # a better class starts earlier (N starts none)
             best, best_t = r, t
-    # The winner is the j-th occurrence of its value, j its rank in its class.
-    val = tops[starts.index(best_t)]
+    return tops[starts.index(best_t)], best - best_t, repeats + base
+
+
+def boosted(values: Sequence, repeats: int, rnd, budget_constant: float) -> tuple:
+    """Bounded-error search: `repeats` threshold-search trajectories over one
+    sequence of mutually comparable values, `rnd` a bound `Random.random`
+    method.  Returns (value, witness_index, charged_total).  One-sided error
+    makes boosting safe: a repeat can only improve the value, and repeats=1
+    is a single Durr-Hoyer run.  A budget-free search is sampled, any other
+    walked (`_plan`, `_run`).
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    if not len(values):
+        raise ValueError("search needs at least one value")
+    val, j, charged = _run(_plan(values, repeats, budget_constant), repeats, rnd)
     index = values.index(val)
-    for _ in range(best - best_t):
+    for _ in range(j):
         index = values.index(val, index + 1)
-    return values[index], index, total
+    return values[index], index, charged

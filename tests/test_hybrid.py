@@ -523,35 +523,44 @@ class TestFold:
            st.sampled_from([0.5, 2.0, 23.0]), st.integers(0, 2 ** 32))
     @example(1722, 4, 12, 24, 23.0, 1)
     @example(30, 8, 0, 24, 23.0, 2)
+    @example(1, 4, 0, 3, 0.5, 5)  # one class that is not budget-free: all-zero slots walk
     def test_boosted_cells_charges_and_stream_equal_per_slot_boosted(
             self, n, count, top, repeats, budget_constant, seed):
         # Lanes as above, with some slots of no walk at all besides the
-        # padding's; one chunk serves every set, as in a solve.
+        # padding's, and some sets repeating an earlier set's lanes.  Two
+        # chunks share one plan memo, as a solve's chunks do, so later
+        # searches run cached plans.
         rnd = random.Random(seed)
         values = bytes(x % (top + 1) for x in range(256))
-        orients = [rnd.choice(list(_ORIENT)) for _ in range(count)]
-        lanes = bytearray()
-        for a, b in orients:
+        sets = []
+        for _ in range(2 * count):
+            if sets and rnd.random() < 0.3:
+                sets.append(rnd.choice(sets))
+                continue
+            a, b = orient = rnd.choice(list(_ORIENT))
             segment = bytearray(rnd.randbytes(4 * n).translate(values))
             for slot in range(4):
                 if a == 1 and slot >> 1 or b == 1 and slot & 1 or rnd.random() < 0.3:
                     segment[slot::4] = bytes(n)
-            lanes += segment
+            sets.append((orient, bytes(segment)))
         got_stream, want_stream = random.Random(seed), random.Random(seed)
-        find = _stochastic_chunk(got_stream, repeats, budget_constant,
-                                 int.from_bytes(lanes, "little"), n, count)
-        for i, orient in enumerate(orients):
-            slots = _ORIENT[orient][0]
-            cell, charged = find(i, slots)
-            total = 0
-            for slot in range(4):
-                val = 0
-                if slot in slots:  # in slot order, as the chunk searches them
-                    val, _, queries = boosted(lanes[4 * i * n + slot:4 * (i + 1) * n:4],
-                                              repeats, want_stream.random, budget_constant)
-                    total += queries
-                assert cell[slot] == val, (i, slot)
-            assert charged == total, i
+        plans = {}
+        for chunk in sets[:count], sets[count:]:
+            lanes = b"".join(segment for _, segment in chunk)
+            find = _stochastic_chunk(got_stream, repeats, budget_constant, plans,
+                                     int.from_bytes(lanes, "little"), n, count)
+            for i, (orient, segment) in enumerate(chunk):
+                slots = _ORIENT[orient][0]
+                cell, charged = find(i, slots)
+                total = 0
+                for slot in range(4):
+                    val = 0
+                    if slot in slots:  # in slot order, as the chunk searches them
+                        val, _, queries = boosted(segment[slot::4], repeats, want_stream.random,
+                                                  budget_constant)
+                        total += queries
+                    assert cell[slot] == val, (i, slot)
+                assert charged == total, i
         assert got_stream.random() == want_stream.random()
 
 

@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from longtrail.qmax import QueryLedger, boosted, exhaustive, grover_stage_cost
+from longtrail.qmax import QueryLedger, _plan, _run, boosted, exhaustive, grover_stage_cost
 
 from boosted_reference import sorted_boosted
 
@@ -270,6 +270,28 @@ class TestMatchesSortingReference:
             found.add(got[0])
         # Only a budget stop can end below the top class.
         assert (found == {3}) is free
+
+
+class TestPlanReuse:
+    """A plan is built once per array and run per search: k runs of one plan
+    on one stream are k `boosted` calls on a twin stream, whether the plan
+    samples (few classes at 23) or walks (most arrays at 0.5)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_values, st.booleans(), st.integers(1, 30), st.sampled_from([0.5, 23.0]),
+           st.integers(1, 5), st.integers(0, 2**32))
+    @example([1, 2, 1, 1, 2, 1, 3, 1], False, 6, 23.0, 4, 1)
+    @example(shuffled_range(256, 3), True, 8, 0.5, 4, 2)
+    def test_runs_equal_boosted_calls(self, vals, as_bytes, repeats, budget_constant, k, seed):
+        vals = bytes(vals) if as_bytes and max(vals) < 256 else list(vals)
+        got_rnd, want_rnd = random.Random(seed), random.Random(seed)
+        plan = _plan(vals, repeats, budget_constant)
+        assert (plan[3] is None) is budget_free(vals, budget_constant)
+        for _ in range(k):
+            value, j, charged = _run(plan, repeats, got_rnd.random)
+            index = [i for i, x in enumerate(vals) if x == value][j]
+            assert boosted(vals, repeats, want_rnd.random, budget_constant) == (value, index, charged)
+        assert got_rnd.random() == want_rnd.random()
 
 
 def moments(xs):

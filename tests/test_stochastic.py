@@ -12,16 +12,20 @@ deterministic mode.
 """
 
 import math
+import random
 from collections import Counter
+from functools import partial
 from statistics import fmean
 
 import pytest
 
+from longtrail import hybrid
 from longtrail.graphs import random_graph
 from longtrail.hybrid import (
     HybridConfig,
     SolveContext,
     _exhaustive_chunk,
+    _stochastic_chunk,
     reconstruct_from_witness,
     solve_hybrid,
     solve_recursive,
@@ -74,6 +78,41 @@ def test_stochastic_memo_and_trail_equal_deterministic(name):
                           key=lambda found: found[0] or 0)
     trail = tuple(reconstruct_from_witness(witness, stoch.table))
     assert (length, trail) == REPORTS[name, "deterministic", 0][:2]
+
+
+class _Recording(dict):
+    """A plan memo that records the most entries it ever held."""
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+@pytest.mark.parametrize("budget_constant", [23.0, 0.5])
+def test_plan_eviction_leaves_the_stream_alone(budget_constant, monkeypatch):
+    # A plan depends only on its array, so a memo cleared at every plan (a
+    # cap of 1) runs the same searches on the same draws as the default
+    # one; neither ever holds more plans than its cap.  At 0.5 most
+    # searches walk.
+    cfg = HybridConfig(mode="stochastic", budget_constant=budget_constant)
+    for name in sorted(INSTANCES):
+        g = random_graph(*INSTANCES[name])
+        E, m = g.full_edge_set, g.edge_count
+        solves = []
+        for cap in hybrid._PLANS, 1:
+            monkeypatch.setattr(hybrid, "_PLANS", cap)
+            ctx = SolveContext.create(g, cfg)
+            ctx.search = partial(_stochastic_chunk, random.Random(cfg.seed), 2 * m,
+                                 budget_constant, plans := _Recording())
+            # The trail `solve_hybrid` returns: the first pair's of the longest.
+            length, witness = max((solve_recursive(ctx, E, v, u) for v in range(m) for u in range(m)),
+                                  key=lambda found: found[0] or 0)
+            assert 0 < plans.most <= cap, name
+            solves.append((length, reconstruct_from_witness(witness, ctx.table),
+                           ctx.ledger.as_dict()))
+            monkeypatch.undo()
+        assert solves[0] == solves[1], name
 
 
 def test_expected_charge_of_a_known_search():
