@@ -18,8 +18,9 @@ edge coincide but the arcs differ.  The winning predecessor arc is memoized
 per state so any stored walk can be rebuilt by chaining.
 
 The per-arc functions are the DP's interface: `get_len_arc` computes and
-memoizes L(S, a, b), `reconstruct_arc` rebuilds its walk.  The edge-level
-view, the 4 arc-pair slots of edges (v, u), is `DpTable.cell` over the rows.
+memoizes L(S, a, b) in `DpTable.entries`, `reconstruct_arc` rebuilds its
+walk.  The memo is per arc and serves this DP alone: the hybrid's layer is
+cells of its own rows, filled by its split fold (`hybrid.fill_layer`).
 
 `full_dp_longest_trail` maximises L(E, a, b) over every pair of arcs on
 distinct edges, and most of those pairs cannot win.  A trail from tail(a) to
@@ -35,23 +36,18 @@ any state of it is computed.  The loop replaces its incumbent only on a
 strictly greater value, so a skipped pair could never have become the
 incumbent, and the first maximiser in loop order, with its trail, is the
 one the unpruned loop finds.  Every memo entry that is computed is still
-exact, so the trail rebuild and the hybrid's layer are untouched.
+exact, so the trail rebuild is untouched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from .bruteforce import OracleResult
-from .graphs import (
-    Graph, ParityBound, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
-)
+from .graphs import Graph, ParityBound, check_edge_budget, validate_trail
 
 FULL_DP_MAX_EDGES = 20
-# Single-edge cells by arc count: slots 0 and, for a non-loop, 3 hold 1.
-_SINGLE_EDGE = {1: b"\x01\x00\x00\x00", 2: b"\x01\x00\x00\x01"}
 
 
 class CapacityError(MemoryError):
@@ -83,53 +79,15 @@ class LayerSpec:
 
 
 class DpTable:
-    """Memo table for L(S, a, b) with predecessor witnesses.
+    """The DP's memo: a packed (S, a, b) key maps to (length | None,
+    predecessor arc), for a, b on distinct edges of S."""
 
-    `entries` is the DP's per-arc memo: a packed (S, a, b) key maps to
-    (length | None, predecessor arc).  After `precompute_layer` it holds
-    every state (S, a, b) with 2 <= |S| <= k_pre and a, b on distinct edges.
-
-    `rows` is the hybrid's state memo: per edge set S, a list indexed by
-    rank(v) * |S| + rank(u) (e's rank: its position among S's edges) of the
-    cells of (S, v, u): 4 bytes, byte i*2 + j = L(S, arc(v, i), arc(u, j)),
-    0 for "no walk"; None marks a cell not filled yet.  A row is exactly its
-    |S|^2 cells, the diagonal holding single-edge cells.  Padding contract: a
-    loop has only orientation 0, so slots i = 1 of a loop v and j = 1 of a
-    loop u hold 0.  `precompute_layer` fills the rows of 2 <= |S| <= k_pre; the
-    hybrid fills those of its chain's sizes.  Equal cells are one object, the
-    one `cells` maps them to.
-    """
-
-    def __init__(self, g: Graph, k_pre: int = 0):
-        self.g = g
-        self.k_pre = k_pre
+    def __init__(self, g: Graph):
         self._A = max(2 * g.edge_count, 1)
         self.entries: dict[int, tuple[int | None, int | None]] = {}
-        self.rows: dict[int, list] = {}
-        self._single = [_SINGLE_EDGE[n] for n in g.arc_count]
-        self.cells: dict[bytes, bytes] = {}
 
     def pack(self, S: int, a: int, b: int) -> int:
         return (S * self._A + a) * self._A + b
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def row(self, S: int) -> list:
-        """The memo row of S, its |S|^2 cells, made on first use."""
-        row = self.rows.get(S)
-        if row is None:
-            size = S.bit_count()
-            row = self.rows[S] = [None] * (size * size)
-            row[::size + 1] = [self._single[e] for e in bits_of(S)]
-        return row
-
-    def cell(self, S: int, v: int, u: int) -> tuple[int, ...] | None:
-        """The 4 slots of (S, v, u) for edges v, u of S, 0 for "no walk";
-        None if the state is not solved."""
-        row = self.rows.get(S)
-        cell = row and row[rank_in(S, v) * S.bit_count() + rank_in(S, u)]
-        return None if cell is None else tuple(cell)
 
 
 def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
@@ -160,43 +118,6 @@ def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
 
 def estimate_layer_entries(m: int, k_pre: int) -> int:
     return sum(math.comb(m, k) * (2 * k) ** 2 for k in range(1, k_pre + 1))
-
-
-def precompute_layer(
-    g: Graph, spec: LayerSpec, *, entry_budget: int = 1 << 28
-) -> DpTable:
-    """Tabulate L(S, a, b) for every S with |S| <= spec.k_pre.
-
-    Sweeps each cardinality in deterministic lexicographic order, so the
-    table is complete for the whole layer, not only for states the largest
-    sets happen to reach, and writes each set's memo row as it goes.
-    Singleton states stay implicit.  Fails fast when the projected entry
-    count exceeds the budget.
-    """
-    m = g.edge_count
-    if m < 1:
-        raise ValueError("precompute needs at least one edge")
-    if not 1 <= spec.k_pre <= m:
-        raise ValueError(f"k_pre must lie in [1, {m}], got {spec.k_pre}")
-    est = estimate_layer_entries(m, spec.k_pre)
-    if est > entry_budget:
-        raise CapacityError(
-            f"layer k_pre={spec.k_pre} needs about {est} entries, "
-            f"budget is {entry_budget}"
-        )
-    table = DpTable(g, spec.k_pre)
-    for k in range(2, spec.k_pre + 1):
-        for combo in combinations(range(m), k):
-            S = edge_set(combo)
-            row = table.row(S)
-            for (i, v), (j, u) in permutations(enumerate(combo), 2):
-                cell = [0, 0, 0, 0]
-                for ai, a in enumerate(g.arcs_of(v)):
-                    for bi, b in enumerate(g.arcs_of(u)):
-                        cell[ai * 2 + bi] = get_len_arc(g, S, a, b, table) or 0
-                cell = bytes(cell)
-                row[i * k + j] = table.cells.setdefault(cell, cell)
-    return table
 
 
 def full_dp_longest_trail(g: Graph) -> OracleResult:

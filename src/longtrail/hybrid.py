@@ -7,8 +7,9 @@ candidates (S', y) with first-edge membership v in S', |S'| = h about half of
 |S|, and pivot edge y in S'; the candidate's value combines the half-walks
 L(S', a, c) and L((S \\ S') | {y}, c, b) over the two orientations c of the
 pivot.  Sharing the pivot *arc* between the halves is what keeps the
-concatenation walkable.  The recursion bottoms out in table lookups once
-|S| <= k_pre.
+concatenation walkable.  One fill loop (`_fill`) solves both steps into the
+memo's rows: on the layer at h = |S| - 1, the DP's peel of the last edge,
+uncharged (`fill_layer`).
 
 Each maximization runs through one query-counting search bound per run:
 in deterministic mode the max with a charge of one query per candidate, as
@@ -16,7 +17,7 @@ in deterministic mode the max with a charge of one query per candidate, as
 `qmax.boosted` threshold searches on the seeded stream in stochastic mode
 (the fold's, with a sampled charge, where budget-free), planned per array.
 States are solved once per run and memoized (with no object per state, see
-DpTable), so stochastic references to a state share one realization
+RowTable), so stochastic references to a state share one realization
 (re-running nested searches per reference is not simulable).
 
 All states (S, v < u) with |S| on the full set's split chain are solved
@@ -32,7 +33,8 @@ deterministic mode one fold of those lanes gives every set's maxima
 (`_fold_maxima`).  A search returns only a cell and a charge: no record of
 the winning candidate is kept.  A witness (S, first arc, last arc) is rebuilt
 by chaining down to the layer, each split found again from the memo's cells
-(the first candidate whose halves add up to the state's value).
+(the first candidate whose halves add up to the state's value), and on the
+layer by peeling the last edge (`_peel`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from itertools import combinations, islice, repeat
 from operator import add, iadd, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
-from .dp import DpTable, LayerSpec, precompute_layer, reconstruct_arc
+from .dp import CapacityError, LayerSpec, estimate_layer_entries
 from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
 from .qmax import QueryLedger, _plan, _run
 
@@ -81,6 +83,8 @@ class HybridConfig:
 
 # (S, first arc, last arc): the state whose stored walk realizes a value.
 Witness = tuple[int, int, int]
+# Single-edge cells by arc count: slots 0 and, for a non-loop, 3 hold 1.
+_SINGLE_EDGE = {1: b"\x01\x00\x00\x00", 2: b"\x01\x00\x00\x01"}
 
 
 @dataclass(frozen=True)
@@ -91,13 +95,55 @@ class SolveResult:
     classical_entries: int
 
 
+class RowTable:
+    """The hybrid's state memo: per edge set S, a list indexed by
+    rank(v) * |S| + rank(u) (e's rank: its position among S's edges) of the
+    cells of (S, v, u): 4 bytes, byte i*2 + j = L(S, arc(v, i), arc(u, j)),
+    0 for "no walk"; None marks a cell not filled yet.  A row is exactly its
+    |S|^2 cells, the diagonal holding single-edge cells.  Padding contract: a
+    loop has only orientation 0, so slots i = 1 of a loop v and j = 1 of a
+    loop u hold 0.  `fill_layer` fills the rows of 2 <= |S| <= k_pre; the
+    chain's sizes follow.  Equal cells are one object, the one `cells` maps
+    them to."""
+
+    def __init__(self, g: Graph, k_pre: int):
+        self.g = g
+        self.k_pre = k_pre
+        self.rows: dict[int, list] = {}
+        self.cells: dict[bytes, bytes] = {}
+        self._single = [_SINGLE_EDGE[n] for n in g.arc_count]
+
+    def __len__(self) -> int:
+        """The layer's states (S, a, b), a and b on distinct edges: per such
+        ordered arc pair, the sets of 2..k_pre edges holding both."""
+        arcs = self.g.arc_count
+        pairs = sum(arcs) ** 2 - sum(n * n for n in arcs)
+        return pairs * sum(math.comb(len(arcs) - 2, k - 2) for k in range(2, self.k_pre + 1))
+
+    def row(self, S: int) -> list:
+        """The memo row of S, its |S|^2 cells, made on first use."""
+        row = self.rows.get(S)
+        if row is None:
+            size = S.bit_count()
+            row = self.rows[S] = [None] * (size * size)
+            row[::size + 1] = [self._single[e] for e in bits_of(S)]
+        return row
+
+    def cell(self, S: int, v: int, u: int) -> tuple[int, ...] | None:
+        """The 4 slots of (S, v, u) for edges v, u of S, 0 for "no walk";
+        None if the state is not solved."""
+        row = self.rows.get(S)
+        cell = row and row[rank_in(S, v) * S.bit_count() + rank_in(S, u)]
+        return None if cell is None else tuple(cell)
+
+
 class SolveContext:
     """Per-run solver state: the table and its memo, the ledger, and the one
     search every maximization runs, (lanes, n, count) -> find, find(i, slots)
     -> (cell, charge) (see `_exhaustive_chunk`): the fold of a chunk's lanes,
     or `_stochastic_chunk`'s planned boosted searches on the seeded stream."""
 
-    def __init__(self, g: Graph, cfg: HybridConfig, table: DpTable):
+    def __init__(self, g: Graph, cfg: HybridConfig, table: RowTable):
         self.graph = g
         self.table = table
         self.k_pre = table.k_pre
@@ -110,9 +156,7 @@ class SolveContext:
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
-        layer = LayerSpec.for_graph(g.edge_count, cfg.alpha)
-        table = precompute_layer(g, layer)
-        return cls(g, cfg, table)
+        return cls(g, cfg, fill_layer(g, LayerSpec.for_graph(g.edge_count, cfg.alpha)))
 
 
 def _split_size(size: int, k_pre: int) -> int:
@@ -412,18 +456,38 @@ _CHUNK = 32  # sets per batched gather and combine; the search order ignores it
 _PLANS = 4096  # the most search plans a stochastic solve keeps; a full memo is cleared
 
 
-def _solve_chain(ctx: SolveContext) -> None:
-    """Search every state of the split chain's sizes: smallest size first, then
-    sets in `combinations(range(m), size)` order, pair rank and slot.  A chunk
-    of sets gathers and combines each rank pair's candidates at once."""
-    g, table, k_pre, m = ctx.graph, ctx.table, ctx.k_pre, ctx.graph.edge_count
-    chain_sizes = _split_chain(m, k_pre)
-    first = _first_depths(m, k_pre) if any(len(d) > 1 for d in chain_sizes.values()) else {}
-    rows, charges, arc_count = table.rows, ctx.ledger.per_level, g.arc_count
+def fill_layer(g: Graph, spec: LayerSpec, *, entry_budget: int = 1 << 28) -> RowTable:
+    """The rows of every set of 2 <= |S| <= spec.k_pre edges, failing fast past
+    the entry budget.  A two-edge slot (a, b) is 2 iff a may precede b; larger
+    sets take `_fill`'s fold, uncharged, at h = |S| - 1, whose candidates other
+    than the DP's peel of the last edge, L(S \\ {w}, a, b), never beat it."""
+    m = g.edge_count
+    if not 1 <= spec.k_pre <= m:
+        raise ValueError(f"k_pre must lie in [1, {m}], got {spec.k_pre}")
+    if (est := estimate_layer_entries(m, spec.k_pre)) > entry_budget:
+        raise CapacityError(f"layer k_pre={spec.k_pre} needs about {est} entries, "
+                            f"budget is {entry_budget}")
+    table = RowTable(g, spec.k_pre)
+    before, intern = g.arcs_before, table.cells.setdefault
+    for v, u in combinations(range(m), 2) if spec.k_pre > 1 else ():
+        ends = (bytes(2 * (2 * x + i in before[2 * y + j]) for i in (0, 1) for j in (0, 1))
+                for x, y in ((v, u), (u, v)))
+        table.row(1 << v | 1 << u)[1:3] = [intern(cell, cell) for cell in ends]
+    _fill(table, _exhaustive_chunk, {}, dict.fromkeys(range(3, spec.k_pre + 1), (0,)))
+    return table
+
+
+def _fill(table: RowTable, search: Callable, charges: dict, sizes: dict) -> None:
+    """Search every state of each size in `sizes` (size -> the recursion
+    depths it sits at), charging `charges` per level: smallest size first,
+    then sets in `combinations(range(m), size)` order, pair rank and slot.  A
+    chunk of sets gathers and combines each rank pair's candidates at once."""
+    k_pre, rows, m, arc_count = table.k_pre, table.rows, table.g.edge_count, table.g.arc_count
+    first = _first_depths(m, k_pre) if any(len(d) > 1 for d in sizes.values()) else {}
     intern = table.cells.setdefault
     # Per orientation, each cell met with its reversed cell, both interned.
     orient = {key: (slots, transpose, {}) for key, (slots, transpose) in _ORIENT.items()}
-    for size, depths in chain_sizes.items():
+    for size, depths in sizes.items():
         h = _split_size(size, k_pre)
         pattern = _patterns(size, h)
         pairs = [(rlo, rhi) for rhi in range(1, size) for rlo in range(rhi)]
@@ -441,7 +505,7 @@ def _solve_chain(ctx: SolveContext) -> None:
                 left = b"".join(map(b"".join, map(pick_left, lefts)))
                 right = b"".join(map(b"".join, map(pick_right, rights)))
                 n = len(left) // (4 * len(chunk))  # candidates per state
-                finds.append(ctx.search(_combine(left, right), n, len(chunk)))
+                finds.append(search(_combine(left, right), n, len(chunk)))
             for i, bits in enumerate(chunk):
                 S = edge_set(bits)
                 row = table.row(S)
@@ -463,18 +527,18 @@ def solve_recursive(
     ctx: SolveContext, S: int, v: int, u: int, level: int = 0
 ) -> tuple[int | None, Witness | None]:
     """L(S, v, u) read from the memo, with its witness state; None if v or u
-    is not in S.  The first set above the layer runs `_solve_chain` (`level`
-    is unused); a set neither on the layer nor of a chain size is a ValueError."""
+    is not in S.  The first set above the layer fills the chain (`level` is
+    unused); a set neither on the layer nor of a chain size is a ValueError."""
     if not (S >> v & 1 and S >> u & 1):
         return None, None
     if v == u:
         return 1, (S, 2 * v, 2 * v)
     size = S.bit_count()
     if S not in ctx.table.rows:
-        sizes = list(_split_chain(m := ctx.graph.edge_count, ctx.k_pre))
-        if size not in sizes or S >> m:
-            raise ValueError(f"set {S:#x} is neither on the layer nor of a chain size {sizes}")
-        _solve_chain(ctx)
+        chain = _split_chain(m := ctx.graph.edge_count, ctx.k_pre)
+        if size not in chain or S >> m:
+            raise ValueError(f"set {S:#x} is neither on the layer nor of a chain size {[*chain]}")
+        _fill(ctx.table, ctx.search, ctx.ledger.per_level, chain)
     cell = ctx.table.rows[S][rank_in(S, v) * size + rank_in(S, u)]
     best = max(cell)
     if not best:
@@ -483,18 +547,34 @@ def solve_recursive(
     return best, (S, 2 * v + (slot >> 1), 2 * u + (slot & 1))
 
 
-def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
+def _peel(table: RowTable, S: int, a: int, b: int) -> list[int]:
+    """The walk of the layer state (S, a, b), a and b on distinct edges, by
+    peeling the last edge: each step takes the first arc c before b whose state
+    reaches the value less one, as `dp.get_len_arc` picks its predecessor."""
+    v, ai, arcs_before = a >> 1, (a & 1) * 2, table.g.arcs_before
+    want = table.cell(S, v, b >> 1)[ai + (b & 1)]
+    walk = [b >> 1]
+    while b != a:
+        S, want = S & ~(1 << (b >> 1)), want - 1
+        b = next((c for c in arcs_before[b] if S >> (c >> 1) & 1 and (
+            c == a if want == 1 else table.cell(S, v, c >> 1)[ai + (c & 1)] == want)), None)
+        if b is None:
+            raise ValueError(f"inconsistent layer cell: no arc before reaches L = {want}")
+        walk.append(b >> 1)
+    return walk[::-1]
+
+
+def reconstruct_from_witness(w: Witness, table: RowTable) -> list[int]:
     """Rebuild the walk of the witness state (S, first arc, last arc)."""
     S, a, b = w
-    g = table.g
     v, u = a >> 1, b >> 1
     if v == u:
         return [v]
     size = S.bit_count()
     if size <= table.k_pre:
-        return reconstruct_arc(table, S, a, b)
+        return _peel(table, S, a, b)
     if v > u:
-        forward = (S, g.reverse_arc(b), g.reverse_arc(a))
+        forward = (S, table.g.reverse_arc(b), table.g.reverse_arc(a))
         return reconstruct_from_witness(forward, table)[::-1]
     ai, bi, h = a & 1, b & 1, _split_size(size, table.k_pre)
     target = table.cell(S, v, u)[ai * 2 + bi]
@@ -519,9 +599,7 @@ def reconstruct_from_witness(w: Witness, table: DpTable) -> list[int]:
     left = reconstruct_from_witness((S1, a, pivot_arc), table)
     right = reconstruct_from_witness((T, pivot_arc, b), table)
     if left[-1] != y or right[0] != y:
-        raise ValueError(
-            f"inconsistent witness: halves do not share pivot edge {y}"
-        )
+        raise ValueError(f"inconsistent witness: halves do not share pivot edge {y}")
     return left + right[1:]
 
 

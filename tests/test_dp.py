@@ -13,7 +13,6 @@ from longtrail.dp import (
     TableLookupError,
     full_dp_longest_trail,
     get_len_arc,
-    precompute_layer,
     reconstruct_arc,
 )
 from longtrail.graphs import (
@@ -25,6 +24,7 @@ from longtrail.graphs import (
     random_graph,
     validate_trail,
 )
+from longtrail.hybrid import fill_layer, reconstruct_from_witness
 
 from constrained_oracle import constrained_longest_bruteforce
 from edge_level import edge_len
@@ -182,9 +182,17 @@ class TestLayerSpec:
             LayerSpec.for_graph(8, alpha=1.0)
 
 
+# Loops and parallel copies make the peel's predecessors tie: a rebuild that
+# took any but the first matching arc would leave `reconstruct_arc`'s walk.
+COPIES = Graph(3, ((0, 1), (1, 0), (1, 1), (0, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 2)))
+LAYER_GRAPHS = {"m8": random_graph(5, 8, 77), "loops7": random_graph(2, 9, 3), "copies": COPIES}
+
+
 class TestPrecomputeLayer:
+    """The hybrid's layer, `fill_layer`'s rows, against the per-arc DP."""
+
     def test_triangle_k2_matches_bruteforce(self):
-        table = precompute_layer(TRIANGLE, LayerSpec(k_pre=2))
+        table = fill_layer(TRIANGLE, LayerSpec(k_pre=2))
         for S in range(1, 8):
             for v in bits_of(S):
                 for u in bits_of(S):
@@ -200,19 +208,21 @@ class TestPrecomputeLayer:
 
     def test_k1_gives_base_states_only(self):
         g = random_graph(4, 6, 9)
-        table = precompute_layer(g, LayerSpec(k_pre=1))
+        table = fill_layer(g, LayerSpec(k_pre=1))
         # Singleton states are implicit, so the layer stores no compound
         # states at all.
-        assert len(table.entries) == 0
+        assert len(table) == 0
         assert table.rows == {}
 
     def test_layer_is_complete(self):
         # Every set of 2 <= |S| <= k_pre has a row with every cell set, and
-        # the per-arc memo holds every arc pair of S on distinct edges.
+        # the layer counts as many states as the per-arc memo holds after
+        # computing every arc pair of S on distinct edges.
         g = random_graph(5, 9, 31)
         spec = LayerSpec.for_graph(9)
         assert spec.k_pre >= 3
-        table = precompute_layer(g, spec)
+        table = fill_layer(g, spec)
+        fresh = DpTable(g)
         assert len(table.rows) == sum(math.comb(9, k) for k in range(2, spec.k_pre + 1))
         for k in range(2, spec.k_pre + 1):
             for combo in combinations(range(9), k):
@@ -226,20 +236,25 @@ class TestPrecomputeLayer:
                             continue
                         for a in g.arcs_of(v):
                             for b in g.arcs_of(u):
-                                assert table.pack(S, a, b) in table.entries, (S, a, b)
+                                get_len_arc(g, S, a, b, fresh)
+        assert len(table) == len(fresh.entries)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            precompute_layer(random_graph(6, 12, 0), LayerSpec(k_pre=3), entry_budget=10)
+            fill_layer(random_graph(6, 12, 0), LayerSpec(k_pre=3), entry_budget=10)
 
-    def test_matrix_view_consistent(self):
+    @pytest.mark.parametrize("k_pre", [2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(LAYER_GRAPHS))
+    def test_matrix_view_consistent(self, name, k_pre):
         # Every cell of every layer row, the single-edge diagonal included,
-        # holds the values that the per-arc DP computes afresh (0 for no walk).
-        g = random_graph(5, 8, 77)
-        spec = LayerSpec.for_graph(8)
-        table = precompute_layer(g, spec)
+        # holds the values that the per-arc DP computes afresh (0 for no
+        # walk); every walk rebuilt from the cells is `reconstruct_arc`'s; and
+        # the layer counts the per-arc memo's entries.
+        g = LAYER_GRAPHS[name]
+        m = g.edge_count
+        table = fill_layer(g, LayerSpec(k_pre))
         fresh = DpTable(g)
-        assert len(table.rows) == sum(math.comb(8, k) for k in range(2, spec.k_pre + 1))
+        assert len(table.rows) == sum(math.comb(m, k) for k in range(2, k_pre + 1))
         for S in table.rows:
             for v in bits_of(S):
                 for u in bits_of(S):
@@ -248,6 +263,10 @@ class TestPrecomputeLayer:
                         for bi, b in enumerate(g.arcs_of(u)):
                             val = get_len_arc(g, S, a, b, fresh)
                             assert cells[ai * 2 + bi] == (0 if val is None else val)
+                            if val and u != v:
+                                walk = reconstruct_from_witness((S, a, b), table)
+                                assert walk == reconstruct_arc(fresh, S, a, b), (S, a, b)
+        assert len(table) == len(fresh.entries)
 
 
 class TestSplitProperty:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longtrail.dp import DpTable, full_dp_longest_trail, precompute_layer, LayerSpec
+from longtrail import dp
+from longtrail.dp import DpTable, full_dp_longest_trail, LayerSpec
 from longtrail.graphs import (
     Graph,
     SizeLimitError,
@@ -21,6 +22,7 @@ from longtrail.hybrid import (
     HYBRID_DET_MAX_EDGES,
     HYBRID_STOCH_MAX_EDGES,
     HybridConfig,
+    RowTable,
     SolveContext,
     _ORIENT,
     _patterns,
@@ -30,6 +32,7 @@ from longtrail.hybrid import (
     _split_size,
     _stochastic_chunk,
     _subsets,
+    fill_layer,
     predict_deterministic_queries,
     reconstruct_from_witness,
     solve_hybrid,
@@ -39,6 +42,7 @@ from longtrail.hybrid import (
 from longtrail.qmax import boosted, exhaustive, grover_stage_cost
 
 from edge_level import edge_len
+from test_golden import INSTANCES, REPORTS
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -636,10 +640,10 @@ class TestFirstMaxima:
 class TestWitnessReconstruction:
     def test_edge(self):
         # Both arcs on one edge: the walk is that edge, whatever S holds.
-        assert reconstruct_from_witness((0b111111, 8, 8), DpTable(K4)) == [4]
+        assert reconstruct_from_witness((0b111111, 8, 8), RowTable(K4, 2)) == [4]
 
     def test_leaf(self):
-        table = precompute_layer(TRIANGLE, LayerSpec(k_pre=2))
+        table = fill_layer(TRIANGLE, LayerSpec(k_pre=2))
         # Edge 0 traversed 0 -> 1 (arc 1), then edge 1 ending at 2 (arc 3).
         assert reconstruct_from_witness((0b011, 1, 3), table) == [0, 1]
 
@@ -656,7 +660,7 @@ class TestWitnessReconstruction:
         # A leaf walk that does not end on the split record's pivot edge.
         ctx = SolveContext.create(TRIANGLE, DET)
         _val, wit = solve_recursive(ctx, 0b111, 0, 2)
-        monkeypatch.setattr(hybrid, "reconstruct_arc", lambda table, S, a, b: [a >> 1])
+        monkeypatch.setattr(hybrid, "_peel", lambda table, S, a, b: [a >> 1])
         with pytest.raises(ValueError, match="pivot"):
             reconstruct_from_witness(wit, ctx.table)
 
@@ -673,6 +677,23 @@ class TestWitnessReconstruction:
         assert ctx.table.cell(0b111, 0, 2)[slot] == val + 5
         with pytest.raises(ValueError, match="reproduces"):
             reconstruct_from_witness(wit, ctx.table)
+
+
+class TestNoPerArcMemo:
+    def test_golden_reports_with_the_dp_memo_refused(self, monkeypatch):
+        # The layer is filled and its walks rebuilt from the hybrid's own
+        # rows: with the DP's per-arc functions made to raise, every golden
+        # graph's seed-0 report, in both modes, is still the recorded one.
+        def refuse(*args):
+            raise AssertionError("the hybrid reached the DP's per-arc memo")
+        monkeypatch.setattr(dp, "get_len_arc", refuse)
+        monkeypatch.setattr(dp, "reconstruct_arc", refuse)
+        keys = [key for key in sorted(REPORTS) if key[2] == 0]
+        assert {mode for _, mode, _ in keys} == {"deterministic", "stochastic"}
+        for name, mode, seed in keys:
+            res = solve_hybrid(random_graph(*INSTANCES[name]), HybridConfig(mode=mode, seed=seed))
+            got = (res.length, res.trail, dict(res.ledger.per_level), res.classical_entries)
+            assert got == REPORTS[name, mode, seed], (name, mode)
 
 
 class TestLedgerPrediction:
