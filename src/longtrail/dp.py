@@ -19,8 +19,7 @@ per state so any stored walk can be rebuilt by chaining.
 
 The per-arc functions are the DP's interface: `get_len_arc` computes and
 memoizes L(S, a, b) in `DpTable.entries`, `reconstruct_arc` rebuilds its
-walk.  The memo is per arc and serves this DP alone: the hybrid's layer is
-cells of its own rows, filled by its split fold (`hybrid.fill_layer`).
+walk.
 
 `full_dp_longest_trail` maximises L(E, a, b) over every pair of arcs on
 distinct edges, and most of those pairs cannot win.  A trail from tail(a) to
@@ -41,41 +40,14 @@ exact, so the trail rebuild is untouched.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .bruteforce import OracleResult
 from .graphs import Graph, ParityBound, check_edge_budget, validate_trail
 
 FULL_DP_MAX_EDGES = 20
 
 
-class CapacityError(MemoryError):
-    """Raised when a precompute layer would exceed the entry budget."""
-
-
 class TableLookupError(KeyError):
     """Raised when a required table entry is absent."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Precompute layer: all states with |S| <= k_pre are tabulated."""
-
-    k_pre: int = 1
-
-    @classmethod
-    def for_graph(cls, m: int, alpha: float = 0.055) -> "LayerSpec":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if m < 1:
-            raise ValueError("layer needs at least one edge")
-        quarter = ((m + 1) // 2 + 1) // 2  # ceil(ceil(m/2)/2)
-        k = math.ceil((1.0 - alpha) * quarter)
-        # Sets of size 2 cannot shrink under the pivot split, so the layer
-        # must reach at least 2 whenever the graph has that many edges.
-        k = max(k, min(m, 2))
-        return cls(min(k, m))
 
 
 class DpTable:
@@ -114,10 +86,6 @@ def get_len_arc(g: Graph, S: int, a: int, b: int, table: DpTable) -> int | None:
             pred = c
     entries[key] = (best, pred)
     return best
-
-
-def estimate_layer_entries(m: int, k_pre: int) -> int:
-    return sum(math.comb(m, k) * (2 * k) ** 2 for k in range(1, k_pre + 1))
 
 
 def full_dp_longest_trail(g: Graph) -> OracleResult:

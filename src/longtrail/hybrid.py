@@ -1,7 +1,7 @@
 """Hybrid solver: classical layer precompute plus nested maximum-finding.
 
 Step 1 tabulates every L(S, a, b) with |S| <= k_pre, where k_pre is roughly
-(1 - alpha) * m/4 (see LayerSpec).  Step 2 answers L(E, v, u) for every edge
+(1 - alpha) * m/4 (`layer_size`).  Step 2 answers L(E, v, u) for every edge
 pair through a recursion on subset splits: a state over S is maximized over
 candidates (S', y) with first-edge membership v in S', |S'| = h about half of
 |S|, and pivot edge y in S'; the candidate's value combines the half-walks
@@ -50,8 +50,8 @@ from itertools import combinations, islice, repeat
 from operator import add, iadd, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
-from .dp import CapacityError, LayerSpec, estimate_layer_entries
-from .graphs import Graph, bits_of, check_edge_budget, edge_set, rank_in, validate_trail
+from .graphs import (Graph, SizeLimitError, bits_of, check_edge_budget, edge_set, rank_in,
+                     validate_trail)
 from .qmax import QueryLedger, _plan, _run
 
 HYBRID_DET_MAX_EDGES = 20
@@ -143,20 +143,18 @@ class SolveContext:
     -> (cell, charge) (see `_exhaustive_chunk`): the fold of a chunk's lanes,
     or `_stochastic_chunk`'s planned boosted searches on the seeded stream."""
 
-    def __init__(self, g: Graph, cfg: HybridConfig, table: RowTable):
-        self.graph = g
+    def __init__(self, cfg: HybridConfig, table: RowTable):
         self.table = table
-        self.k_pre = table.k_pre
         self.ledger = QueryLedger()
         self.search = _exhaustive_chunk
         if cfg.mode == MODE_STOCHASTIC:
-            repeats = cfg.repeats_per_level or max(1, 2 * g.edge_count)
+            repeats = cfg.repeats_per_level or max(1, 2 * table.g.edge_count)
             self.search = partial(_stochastic_chunk, random.Random(cfg.seed), repeats,
                                   cfg.budget_constant, {})
 
     @classmethod
     def create(cls, g: Graph, cfg: HybridConfig) -> "SolveContext":
-        return cls(g, cfg, fill_layer(g, LayerSpec.for_graph(g.edge_count, cfg.alpha)))
+        return cls(cfg, fill_layer(g, layer_size(g.edge_count, cfg.alpha)))
 
 
 def _split_size(size: int, k_pre: int) -> int:
@@ -454,26 +452,41 @@ def _first_depths(m: int, k_pre: int) -> dict[int, int]:
 
 _CHUNK = 32  # sets per batched gather and combine; the search order ignores it
 _PLANS = 4096  # the most search plans a stochastic solve keeps; a full memo is cleared
+_LAYER_BUDGET = 1 << 28  # the most layer states (`len(RowTable)`) a layer may hold
 
 
-def fill_layer(g: Graph, spec: LayerSpec, *, entry_budget: int = 1 << 28) -> RowTable:
-    """The rows of every set of 2 <= |S| <= spec.k_pre edges, failing fast past
-    the entry budget.  A two-edge slot (a, b) is 2 iff a may precede b; larger
-    sets take `_fill`'s fold, uncharged, at h = |S| - 1, whose candidates other
-    than the DP's peel of the last edge, L(S \\ {w}, a, b), never beat it."""
+def layer_size(m: int, alpha: float = 0.055) -> int:
+    """k_pre for m edges: about (1 - alpha) * m/4, rounded up, at least 2 and
+    at most m."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if m < 1:
+        raise ValueError("layer needs at least one edge")
+    quarter = ((m + 1) // 2 + 1) // 2  # ceil(ceil(m/2)/2)
+    k = math.ceil((1.0 - alpha) * quarter)
+    # Sets of size 2 cannot shrink under the pivot split, so the layer
+    # must reach at least 2 whenever the graph has that many edges.
+    return min(max(k, min(m, 2)), m)
+
+
+def fill_layer(g: Graph, k_pre: int) -> RowTable:
+    """The rows of every set of 2 <= |S| <= k_pre edges; a SizeLimitError,
+    before any row is made, if the layer's states exceed _LAYER_BUDGET.  A
+    two-edge slot (a, b) is 2 iff a may precede b; larger sets take `_fill`'s
+    fold, uncharged, at h = |S| - 1, whose candidates other than the DP's peel
+    of the last edge, L(S \\ {w}, a, b), never beat it."""
     m = g.edge_count
-    if not 1 <= spec.k_pre <= m:
-        raise ValueError(f"k_pre must lie in [1, {m}], got {spec.k_pre}")
-    if (est := estimate_layer_entries(m, spec.k_pre)) > entry_budget:
-        raise CapacityError(f"layer k_pre={spec.k_pre} needs about {est} entries, "
-                            f"budget is {entry_budget}")
-    table = RowTable(g, spec.k_pre)
+    if not 1 <= k_pre <= m:
+        raise ValueError(f"k_pre must lie in [1, {m}], got {k_pre}")
+    table = RowTable(g, k_pre)
+    if (states := len(table)) > _LAYER_BUDGET:
+        raise SizeLimitError(f"layer k_pre={k_pre} needs {states} states, budget {_LAYER_BUDGET}")
     before, intern = g.arcs_before, table.cells.setdefault
-    for v, u in combinations(range(m), 2) if spec.k_pre > 1 else ():
+    for v, u in combinations(range(m), 2) if k_pre > 1 else ():
         ends = (bytes(2 * (2 * x + i in before[2 * y + j]) for i in (0, 1) for j in (0, 1))
                 for x, y in ((v, u), (u, v)))
         table.row(1 << v | 1 << u)[1:3] = [intern(cell, cell) for cell in ends]
-    _fill(table, _exhaustive_chunk, {}, dict.fromkeys(range(3, spec.k_pre + 1), (0,)))
+    _fill(table, _exhaustive_chunk, {}, dict.fromkeys(range(3, k_pre + 1), (0,)))
     return table
 
 
@@ -535,7 +548,7 @@ def solve_recursive(
         return 1, (S, 2 * v, 2 * v)
     size = S.bit_count()
     if S not in ctx.table.rows:
-        chain = _split_chain(m := ctx.graph.edge_count, ctx.k_pre)
+        chain = _split_chain(m := ctx.table.g.edge_count, ctx.table.k_pre)
         if size not in chain or S >> m:
             raise ValueError(f"set {S:#x} is neither on the layer nor of a chain size {[*chain]}")
         _fill(ctx.table, ctx.search, ctx.ledger.per_level, chain)
@@ -638,7 +651,7 @@ def predict_deterministic_queries(g: Graph, alpha: float = 0.055) -> dict[str, i
     follows the solver's recursion without evaluating any walk lengths, so
     it predicts exactly what the solver's ledger must report."""
     m = g.edge_count
-    k_pre = LayerSpec.for_graph(m, alpha).k_pre if m else 0
+    k_pre = layer_size(m, alpha) if m else 0
     return dict(_walk(m, k_pre, g.arc_count)[1]) if m > k_pre else {}
 
 
@@ -671,10 +684,8 @@ def theoretical_costs(m: int, alpha: float = 0.055) -> CostReport:
     base-2 exponents; the two sides balance near alpha = 0.055."""
     if m < 4:
         raise ValueError(f"cost model needs m >= 4, got {m}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    k_layer = layer_size(m, alpha)
     k_nominal = round((1.0 - alpha) * m / 4.0)
-    k_layer = LayerSpec.for_graph(m, alpha).k_pre
     log2_classical = _log2_binom(m, k_nominal)
     # Past the int -> str digit limit (0 or absent: none) no report can hold
     # the count, and at large m math.comb would spend minutes building it.

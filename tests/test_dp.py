@@ -6,10 +6,9 @@ from itertools import combinations
 import pytest
 
 from longtrail.bruteforce import longest_trail_bruteforce
+from longtrail import hybrid
 from longtrail.dp import (
-    CapacityError,
     DpTable,
-    LayerSpec,
     TableLookupError,
     full_dp_longest_trail,
     get_len_arc,
@@ -24,7 +23,7 @@ from longtrail.graphs import (
     random_graph,
     validate_trail,
 )
-from longtrail.hybrid import fill_layer, reconstruct_from_witness
+from longtrail.hybrid import RowTable, fill_layer, layer_size, reconstruct_from_witness
 
 from constrained_oracle import constrained_longest_bruteforce
 from edge_level import edge_len
@@ -162,24 +161,30 @@ class TestPastOracleCeiling:
 
 
 class TestLayerSpec:
+    """The layer's k_pre rule, `hybrid.layer_size`."""
+
     @pytest.mark.parametrize(
         "m,expected", [(8, 2), (12, 3), (14, 4), (16, 4), (20, 5)]
     )
     def test_layer_size(self, m, expected):
-        assert LayerSpec.for_graph(m).k_pre == expected
+        assert layer_size(m) == expected
 
     def test_small_graphs_floor_at_two(self):
         # The nominal size (1 - alpha) * m/4 collapses to 1 below m = 5, but
         # a split cannot shrink two-edge sets, so the layer floors at 2.
-        assert LayerSpec.for_graph(4).k_pre == 2
-        assert LayerSpec.for_graph(2).k_pre == 2
-        assert LayerSpec.for_graph(1).k_pre == 1
+        assert layer_size(4) == 2
+        assert layer_size(2) == 2
+        assert layer_size(1) == 1
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            LayerSpec.for_graph(8, alpha=0.0)
+            layer_size(8, alpha=0.0)
         with pytest.raises(ValueError):
-            LayerSpec.for_graph(8, alpha=1.0)
+            layer_size(8, alpha=1.0)
+
+    def test_no_edges_rejected(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            layer_size(0)
 
 
 # Loops and parallel copies make the peel's predecessors tie: a rebuild that
@@ -192,7 +197,7 @@ class TestPrecomputeLayer:
     """The hybrid's layer, `fill_layer`'s rows, against the per-arc DP."""
 
     def test_triangle_k2_matches_bruteforce(self):
-        table = fill_layer(TRIANGLE, LayerSpec(k_pre=2))
+        table = fill_layer(TRIANGLE, 2)
         for S in range(1, 8):
             for v in bits_of(S):
                 for u in bits_of(S):
@@ -208,7 +213,7 @@ class TestPrecomputeLayer:
 
     def test_k1_gives_base_states_only(self):
         g = random_graph(4, 6, 9)
-        table = fill_layer(g, LayerSpec(k_pre=1))
+        table = fill_layer(g, 1)
         # Singleton states are implicit, so the layer stores no compound
         # states at all.
         assert len(table) == 0
@@ -219,12 +224,12 @@ class TestPrecomputeLayer:
         # the layer counts as many states as the per-arc memo holds after
         # computing every arc pair of S on distinct edges.
         g = random_graph(5, 9, 31)
-        spec = LayerSpec.for_graph(9)
-        assert spec.k_pre >= 3
-        table = fill_layer(g, spec)
+        k_pre = layer_size(9)
+        assert k_pre >= 3
+        table = fill_layer(g, k_pre)
         fresh = DpTable(g)
-        assert len(table.rows) == sum(math.comb(9, k) for k in range(2, spec.k_pre + 1))
-        for k in range(2, spec.k_pre + 1):
+        assert len(table.rows) == sum(math.comb(9, k) for k in range(2, k_pre + 1))
+        for k in range(2, k_pre + 1):
             for combo in combinations(range(9), k):
                 S = edge_set(combo)
                 row = table.rows[S]
@@ -239,9 +244,26 @@ class TestPrecomputeLayer:
                                 get_len_arc(g, S, a, b, fresh)
         assert len(table) == len(fresh.entries)
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            fill_layer(random_graph(6, 12, 0), LayerSpec(k_pre=3), entry_budget=10)
+    def test_capacity_guard(self, monkeypatch):
+        # The guard compares the layer's state count, `len(RowTable)`, with
+        # the budget: one state past it is refused, a layer of exactly the
+        # budget is filled.
+        g = random_graph(6, 12, 0)
+        states = len(RowTable(g, 3))
+        monkeypatch.setattr(hybrid, "_LAYER_BUDGET", states - 1)
+        with pytest.raises(SizeLimitError, match=f"needs {states} states, budget {states - 1}"):
+            fill_layer(g, 3)
+        monkeypatch.setattr(hybrid, "_LAYER_BUDGET", states)
+        assert len(fill_layer(g, 3).rows) == math.comb(12, 2) + math.comb(12, 3)
+
+    def test_capacity_guard_refuses_before_any_row(self, monkeypatch):
+        # At m = 30 the default layer (k_pre = 8) holds over a billion states,
+        # past the real budget; the guard must fire before a row is made.
+        def no_row(table, S):
+            raise AssertionError("a row was made before the capacity guard")
+        monkeypatch.setattr(RowTable, "row", no_row)
+        with pytest.raises(SizeLimitError, match=f"budget {hybrid._LAYER_BUDGET}$"):
+            fill_layer(random_graph(16, 30, 0), layer_size(30))
 
     @pytest.mark.parametrize("k_pre", [2, 3, 4])
     @pytest.mark.parametrize("name", sorted(LAYER_GRAPHS))
@@ -252,7 +274,7 @@ class TestPrecomputeLayer:
         # the layer counts the per-arc memo's entries.
         g = LAYER_GRAPHS[name]
         m = g.edge_count
-        table = fill_layer(g, LayerSpec(k_pre))
+        table = fill_layer(g, k_pre)
         fresh = DpTable(g)
         assert len(table.rows) == sum(math.comb(m, k) for k in range(2, k_pre + 1))
         for S in table.rows:

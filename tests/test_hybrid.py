@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longtrail import dp
-from longtrail.dp import DpTable, full_dp_longest_trail, LayerSpec
+from longtrail.dp import DpTable, full_dp_longest_trail
 from longtrail.graphs import (
     Graph,
     SizeLimitError,
@@ -33,6 +33,7 @@ from longtrail.hybrid import (
     _stochastic_chunk,
     _subsets,
     fill_layer,
+    layer_size,
     predict_deterministic_queries,
     reconstruct_from_witness,
     solve_hybrid,
@@ -232,7 +233,7 @@ class TestSchedule:
             m = g.edge_count
             ctx = SolveContext.create(g, HybridConfig(mode=mode, seed=1))
             solve_recursive(ctx, g.full_edge_set, 0, 1)
-            sizes = _chain_sizes(m, ctx.k_pre)
+            sizes = _chain_sizes(m, ctx.table.k_pre)
             solved = dict.fromkeys(sizes, 0)
             for S, row in ctx.table.rows.items():
                 size = S.bit_count()
@@ -244,7 +245,7 @@ class TestSchedule:
     def test_set_off_the_chain_is_rejected(self):
         g = random_graph(5, 8, 3)
         ctx = SolveContext.create(g, DET)
-        assert ctx.k_pre == 2 and _chain_sizes(8, 2) == {3, 4, 5, 8}
+        assert ctx.table.k_pre == 2 and _chain_sizes(8, 2) == {3, 4, 5, 8}
         for S in (0b111111, 0b1111111, 1 << 8 | 0b111):
             with pytest.raises(ValueError) as err:
                 solve_recursive(ctx, S, 0, 1)
@@ -274,7 +275,7 @@ class TestPaddingContract:
                     if cell is None:
                         continue
                     assert len(cell) == 4
-                    above_layer.add(S.bit_count() > ctx.k_pre)
+                    above_layer.add(S.bit_count() > ctx.table.k_pre)
                     if g.arc_count[v] == 1:
                         assert cell[2] == cell[3] == 0, (S, v, u, cell)
                     if g.arc_count[u] == 1:
@@ -304,9 +305,9 @@ class TestSplitRecords:
             solved = 0
             for S in ctx.table.rows:
                 size = S.bit_count()
-                if size <= ctx.k_pre:
+                if size <= ctx.table.k_pre:
                     continue
-                h = _split_size(size, ctx.k_pre)
+                h = _split_size(size, ctx.table.k_pre)
                 for v, u in combinations(bits_of(S), 2):
                     solved += 1
                     cell = ctx.table.cell(S, v, u)
@@ -340,7 +341,7 @@ class TestInterning:
                 for cell in row:
                     if cell is not None:
                         assert first.setdefault(cell, cell) is cell, (S, cell)
-                        above_layer.add(S.bit_count() > ctx.k_pre)
+                        above_layer.add(S.bit_count() > ctx.table.k_pre)
             assert above_layer == {False, True}
 
 
@@ -371,7 +372,7 @@ def _reached_splits(max_m, alphas):
     found = set()
     for m in range(1, max_m + 1):
         for alpha in alphas:
-            k_pre = LayerSpec.for_graph(m, alpha).k_pre
+            k_pre = layer_size(m, alpha)
             todo = [m]
             while todo:
                 size = todo.pop()
@@ -575,7 +576,7 @@ def _solved_states(g, per_size=None):
     solve_recursive(ctx, g.full_edge_set, 0, 1)
     by_size = {}
     for S in ctx.table.rows:
-        if S.bit_count() > ctx.k_pre:
+        if S.bit_count() > ctx.table.k_pre:
             by_size.setdefault(S.bit_count(), []).extend(
                 (S, v, u) for v, u in combinations(bits_of(S), 2))
     rnd = random.Random(5)
@@ -589,7 +590,7 @@ class TestBudgetFree:
         # below the top, at distinct starts t >= 1; a stage's cost falls as t
         # grows, so t = 1..m is the costliest trajectory there can be.
         m = HYBRID_STOCH_MAX_EDGES
-        k_pre = LayerSpec.for_graph(m, 0.055).k_pre
+        k_pre = layer_size(m, 0.055)
         counts = []
         for size in _split_chain(m, k_pre):
             h = _split_size(size, k_pre)
@@ -620,7 +621,7 @@ class TestFirstMaxima:
         ctx, states = _solved_states(g, per_size)
         table = ctx.table
         for S, lo, hi in states:
-            candidates = _reference_candidates(S, lo, hi, _split_size(S.bit_count(), ctx.k_pre))
+            candidates = _reference_candidates(S, lo, hi, _split_size(S.bit_count(), ctx.table.k_pre))
             cell = table.cell(S, lo, hi)
             for slot in range(4):
                 a, b = slot >> 1, slot & 1
@@ -643,7 +644,7 @@ class TestWitnessReconstruction:
         assert reconstruct_from_witness((0b111111, 8, 8), RowTable(K4, 2)) == [4]
 
     def test_leaf(self):
-        table = fill_layer(TRIANGLE, LayerSpec(k_pre=2))
+        table = fill_layer(TRIANGLE, 2)
         # Edge 0 traversed 0 -> 1 (arc 1), then edge 1 ending at 2 (arc 3).
         assert reconstruct_from_witness((0b011, 1, 3), table) == [0, 1]
 
@@ -731,7 +732,7 @@ class TestLedgerPrediction:
         g = random_graph(6, 11, 7)
         walks = {
             "predict": lambda: predict_deterministic_queries(g),
-            "first_depths": lambda: hybrid._first_depths.__wrapped__(11, LayerSpec.for_graph(11).k_pre),
+            "first_depths": lambda: hybrid._first_depths.__wrapped__(11, layer_size(11)),
         }
         for name, walk in walks.items():
             walk()  # fills the process-wide pattern caches

@@ -96,3 +96,22 @@ def test_no_unused_imports_in_the_package():
     found = {path.name: _unused_imports(path.read_text())
              for path in paths if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a module imports from (`from .x import ...` or
+    `from . import x`), by relative name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_hybrid_and_dp_do_not_import_each_other():
+    # The classical layer is the hybrid's alone (its size rule, its guard and
+    # its count), and the DP's per-arc memo serves the DP alone.
+    package = Path(longtrail.__file__).parent
+    assert "dp" not in _package_imports(package / "hybrid.py")
+    assert "hybrid" not in _package_imports(package / "dp.py")
+    assert "graphs" in _package_imports(package / "hybrid.py")
